@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
 use hs_nn::{Conv2d, ConvAlgo, CrossEntropyLoss, Layer, Target};
-use hs_tensor::Tensor;
+use hs_tensor::{gemm, GemmSpec, Tensor, WeightMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -76,13 +76,8 @@ fn bench_kernels(c: &mut Criterion) {
         bencher.iter(|| dw_im2col.forward(black_box(&xdw), false))
     });
 
-    // dense 3×3 stride-1: Winograd F(2×2, 3×3) vs im2col→GEMM
+    // dense 3×3 stride-1 forced onto im2col→GEMM
     let xwg = Tensor::rand_uniform(&[4, 32, 32, 32], -1.0, 1.0, &mut rng);
-    let mut conv_wg = Conv2d::new(32, 32, 3, 1, 1, 1, &mut rng);
-    conv_wg.force_algo(Some(ConvAlgo::Winograd));
-    c.bench_function("nn/conv3x3_32c_32px_b4_winograd", |bencher| {
-        bencher.iter(|| conv_wg.forward(black_box(&xwg), false))
-    });
     let mut conv_ic = Conv2d::new(32, 32, 3, 1, 1, 1, &mut rng);
     conv_ic.force_algo(Some(ConvAlgo::Im2colGemm));
     c.bench_function("nn/conv3x3_32c_32px_b4_im2col", |bencher| {
@@ -99,20 +94,18 @@ fn bench_kernels(c: &mut Criterion) {
     let ga = Tensor::rand_uniform(&[gm, gk], -1.0, 1.0, &mut rng);
     let gbs = Tensor::rand_uniform(&[gb, gk, gn], -1.0, 1.0, &mut rng);
     let mut gouts = vec![0.0f32; gb * gm * gn];
+    let batched = GemmSpec {
+        items: gb,
+        groups: 1,
+        ..GemmSpec::new(gm, gk, gn)
+    };
     c.bench_function("nn/small_gemm_batched", |bencher| {
         bencher.iter(|| {
-            hs_tensor::gemm_batch_strided(
-                black_box(ga.as_slice()),
+            gemm(
+                WeightMat::F32(black_box(ga.as_slice())),
                 black_box(gbs.as_slice()),
                 &mut gouts,
-                gm,
-                gk,
-                gn,
-                gb,
-                0,
-                gk * gn,
-                gm * gn,
-                None,
+                &batched,
             );
             gouts[0]
         })
@@ -120,13 +113,11 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("nn/small_gemm_loop", |bencher| {
         bencher.iter(|| {
             for s in 0..gb {
-                hs_tensor::gemm(
-                    black_box(ga.as_slice()),
+                gemm(
+                    WeightMat::F32(black_box(ga.as_slice())),
                     black_box(&gbs.as_slice()[s * gk * gn..(s + 1) * gk * gn]),
                     &mut gouts[s * gm * gn..(s + 1) * gm * gn],
-                    gm,
-                    gk,
-                    gn,
+                    &GemmSpec::new(gm, gk, gn),
                 );
             }
             gouts[0]

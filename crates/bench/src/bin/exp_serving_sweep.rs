@@ -12,8 +12,8 @@
 //! ```
 //!
 //! `--quick` shrinks request counts for a fast sanity pass (the CI smoke).
-//! The run also prints the measured batched-GEMM routing crossover table
-//! (`hs_nn::batched_gemm_crossovers`) that the served forwards populated.
+//! The run also prints the static batched-GEMM routing rule
+//! (`hs_nn::batched_gemm_crossovers`) the served forwards ran under.
 
 use hs_bench::json_out_path;
 use hs_bench::serving_load::{closed_loop, open_loop, LoadOutcome};
@@ -164,15 +164,9 @@ fn main() {
         println!();
     }
 
-    let crossovers = hs_nn::batched_gemm_crossovers();
-    println!("batched-GEMM routing crossovers (m_class, k_class -> ohw threshold):");
-    if crossovers.is_empty() {
-        println!(
-            "  (none probed: threshold pinned via HS_BATCHED_OHW_MAX or no small-ohw conv ran)"
-        );
-    }
-    for (m_class, k_class, threshold) in &crossovers {
-        println!("  m≈{m_class:<5} k≈{k_class:<5} -> ohw < {threshold}");
+    println!("batched-GEMM routing rule (m_class, k_class -> ohw threshold):");
+    for (m_class, k_class, threshold) in hs_nn::batched_gemm_crossovers() {
+        println!("  m>={m_class:<5} k>={k_class:<5} -> ohw < {threshold}");
     }
 
     if let Some(path) = json_out_path(&args) {

@@ -1,34 +1,28 @@
 //! 2-D convolution with optional grouping (covers depthwise convolution),
-//! executed through a pluggable backend-dispatch layer.
+//! executed through a static backend-dispatch layer.
 //!
-//! **Inference** no longer hardwires one execution strategy: a
-//! shape/stride/groups-driven heuristic ([`ConvAlgo::select`]) picks one of
-//! three interchangeable backends at plan time, all sharing the same parity
-//! contract (identical output, same fused-epilogue semantics):
+//! **Inference** picks one of two backends from the layer geometry
+//! ([`Conv2d::planned_algo`]); both share the same parity contract
+//! (identical output, same fused-epilogue semantics):
 //!
-//! * [`ConvAlgo::Im2colGemm`] — the PR 1 path: per group,
+//! * [`ConvAlgo::Im2colGemm`] — per group,
 //!   `out = W_g (cout_g x wrow) * col (wrow x ohw)` over the im2col matrix
 //!   (with a zero-copy fast path for 1×1 stride-1 unpadded convolutions,
-//!   whose im2col is the identity). Skinny per-sample GEMMs (small `ohw` —
-//!   the MobileNet 1×1-at-small-spatial regime; the routing threshold is
-//!   probed per shape class at runtime, see [`batched_gemm_crossovers`])
-//!   route through [`hs_tensor::gemm_batch_cyclic_strided`]: one call spans
-//!   the whole `groups × samples` item space, each group's weight panel is
-//!   packed once and every sample's columns stream through full-width
-//!   register strips ([`set_batched_gemm`] restores the per-sample loop for
-//!   benches);
-//! * [`ConvAlgo::Winograd`] — F(2×2, 3×3) tile transforms + batched
-//!   tile-GEMM for dense 3×3 stride-1 convolutions
-//!   ([`hs_tensor::winograd_conv3x3`]);
+//!   whose im2col is the identity). Skinny per-sample GEMMs, those with
+//!   `ohw < 2 * NR` (see [`batched_gemm_crossovers`]), run as one batched
+//!   [`hs_tensor::gemm`] call over the whole `groups × samples` item space:
+//!   each group's weight panel is packed once and every sample's columns
+//!   stream through full-width register strips ([`set_batched_gemm`]
+//!   restores the per-sample loop for benches);
 //! * [`ConvAlgo::DirectDepthwise`] — a direct spatial micro-kernel for
 //!   depthwise convolutions ([`hs_tensor::depthwise_conv2d`]), which have
 //!   per-channel GEMMs too tiny for im2col to pay off.
 //!
-//! The choice can be forced per layer ([`Conv2d::force_algo`], used by the
-//! parity tests and backend benches) or process-wide via the `HS_CONV_ALGO`
-//! environment variable (`im2col` | `winograd` | `depthwise`); a forced
-//! backend that cannot execute the layer's geometry falls back to im2col so
-//! forcing is always safe.
+//! Dense convolutions take im2col and depthwise convolutions the direct
+//! kernel. The choice can be forced per layer ([`Conv2d::force_algo`], used
+//! by the parity tests and backend benches); a forced backend that cannot
+//! execute the layer's geometry falls back to im2col, so forcing is always
+//! safe. No route depends on timing.
 //!
 //! **Training** keeps the im2col→GEMM path unconditionally: backward
 //! consumes the cached column matrices
@@ -47,241 +41,42 @@
 //! branches were removed: they broke NaN/Inf propagation.)
 
 use crate::{Layer, Param, ParamStore};
-use hs_parallel::sync;
 use hs_tensor::gemm::NR;
 use hs_tensor::{
-    depthwise_conv2d, gemm, gemm_acc, gemm_acc_q, gemm_batch_cyclic_acc_strided_q,
-    gemm_batch_cyclic_strided_q, gemm_batch_strided, gemm_epilogue_q, he_normal, transpose_into,
-    valid_out_range, winograd_conv3x3_q, DType, Epilogue, EpilogueAct, QTensor, Tensor, WeightMat,
+    depthwise_conv2d, gemm, he_normal, transpose_into, valid_out_range, DType, Epilogue,
+    EpilogueAct, GemmSpec, QTensor, Store, Tensor, WeightMat,
 };
 use rand::rngs::StdRng;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// An inference execution backend for [`Conv2d`].
 ///
 /// Every backend satisfies the same contract: given identical inputs and
-/// weights it produces the same output (to ≤1e-3 relative error for
-/// [`ConvAlgo::Winograd`], whose transforms re-associate the arithmetic) and
+/// weights it produces the same output (to ≤1e-4 relative error) and
 /// supports the fused per-channel scale/shift + activation epilogue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConvAlgo {
     /// im2col followed by a blocked GEMM per (sample, group) — the general
     /// backend, valid for every geometry.
     Im2colGemm,
-    /// Winograd F(2×2, 3×3): valid for dense (`groups == 1`) 3×3 stride-1
-    /// convolutions.
-    Winograd,
     /// Direct spatial micro-kernel: valid for depthwise convolutions
     /// (`groups == in_channels == out_channels`).
     DirectDepthwise,
 }
 
-impl ConvAlgo {
-    /// Parses a backend name as used by the `HS_CONV_ALGO` environment
-    /// override. Accepts `im2col`/`gemm`, `winograd`, `depthwise`/`direct`.
-    pub fn parse(name: &str) -> Option<ConvAlgo> {
-        match name.to_ascii_lowercase().as_str() {
-            "im2col" | "gemm" => Some(ConvAlgo::Im2colGemm),
-            "winograd" => Some(ConvAlgo::Winograd),
-            "depthwise" | "direct" => Some(ConvAlgo::DirectDepthwise),
-            _ => None,
-        }
-    }
+/// Per-sample conv GEMMs with fewer output pixels than this take the
+/// batched route. Below two full `NR`-wide register strips, per-call
+/// packing and dispatch dominate a per-sample GEMM, and laying several
+/// samples' columns side by side is what fills the register tiles.
+const BATCHED_OHW_MAX: usize = 2 * NR;
 
-    /// The heuristic backend choice for a convolution geometry, used when no
-    /// override is in force. Rationale and per-backend measurements are in
-    /// `docs/PERF.md` ("Conv backend selection").
-    ///
-    /// Depthwise convolutions always take the direct kernel (their
-    /// per-channel GEMMs are 1 × k² × ohw — im2col loses at every zoo
-    /// size). Dense convolutions stay on im2col→GEMM: on the AVX-512/AVX2
-    /// reference hardware the blocked GEMM runs close enough to peak that
-    /// Winograd's 2.25× multiply reduction never recovers its tile-transform
-    /// cost (measured 1.1–2.5× slower from 8×8 to 128×128 channels), so
-    /// [`ConvAlgo::Winograd`] is selected only explicitly — the expected win
-    /// on NEON-class kernels can flip this choice per ISA later without
-    /// touching any call site.
-    pub fn select(
-        _kernel: usize,
-        _stride: usize,
-        groups: usize,
-        in_channels: usize,
-        out_channels: usize,
-    ) -> ConvAlgo {
-        if groups == in_channels && groups == out_channels {
-            ConvAlgo::DirectDepthwise
-        } else {
-            ConvAlgo::Im2colGemm
-        }
-    }
-}
-
-/// The process-wide backend override from `HS_CONV_ALGO`, read once.
-///
-/// # Panics
-///
-/// Panics on an unrecognised value: the variable exists to force a backend
-/// in benches and parity sweeps, where a typo silently falling back to the
-/// heuristic would make the run measure or test the wrong thing.
-fn env_forced_algo() -> Option<ConvAlgo> {
-    static FORCED: OnceLock<Option<ConvAlgo>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("HS_CONV_ALGO").ok().map(|v| {
-            ConvAlgo::parse(&v).unwrap_or_else(|| {
-                panic!(
-                    "HS_CONV_ALGO={v:?} is not a conv backend (use im2col, winograd or depthwise)"
-                )
-            })
-        })
-    })
-}
-
-/// Candidate step for the measured crossover probe: thresholds are whole
-/// register strips, `NR .. 4*NR`. (PR 4 hardwired `2*NR`: below two full
-/// strips the per-call packing/dispatch overhead dominates and
-/// cross-sample n-blocking is what fills the register tiles — the probe
-/// now measures where that actually stops being true on this machine.)
-const CROSSOVER_STEP: usize = NR;
-
-/// The measured batched-routing crossover table: shape-class →
-/// `ohw` threshold, probed once per process per class (see
-/// [`batched_ohw_max`]).
-static CROSSOVER_TABLE: OnceLock<Mutex<HashMap<(u32, u32), usize>>> = OnceLock::new();
-
-/// Shape class of a per-sample conv GEMM: log2 buckets of `(m, k)` =
-/// `(cout_g, wrow)`. Shapes in one bucket share a measured threshold; the
-/// first shape seen in a bucket is the one probed.
-fn shape_class(m: usize, k: usize) -> (u32, u32) {
-    (m.max(1).ilog2(), k.max(1).ilog2())
-}
-
-/// Times `f` (already warmed) and returns the fastest of `reps` runs.
-fn time_min_ns(reps: usize, mut f: impl FnMut()) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_nanos());
-    }
-    best
-}
-
-/// Measures the `ohw` crossover for a `(m, k)` per-sample GEMM: the largest
-/// whole-strip width at which the batched entry point still beats the
-/// per-sample [`gemm`] loop, probed at `NR`-wide candidates on synthetic
-/// data (batch of 8 samples, min-of-5 timing after warm-up). Below one
-/// strip the batched route always wins (cross-sample n-blocking is what
-/// fills the register tiles), so `NR` is the floor; the ceiling is `4*NR`.
-fn probe_crossover(m: usize, k: usize) -> usize {
-    let max_n = 4 * CROSSOVER_STEP;
-    let batch = 8usize;
-    // deterministic non-trivial fill; no RNG needed for timing
-    let fill = |len: usize, salt: usize| -> Vec<f32> {
-        (0..len)
-            .map(|i| ((i * 31 + salt * 17) % 23) as f32 * 0.05 - 0.5)
-            .collect()
-    };
-    let a = fill(m * k, 1);
-    let bs = fill(batch * k * max_n, 2);
-    let mut out = vec![0.0f32; batch * m * max_n];
-    let mut threshold = CROSSOVER_STEP;
-    for cand in (1..4).map(|s| s * CROSSOVER_STEP) {
-        let mut run_batched = || {
-            gemm_batch_strided(
-                &a,
-                &bs,
-                &mut out,
-                m,
-                k,
-                cand,
-                batch,
-                0,
-                k * cand,
-                m * cand,
-                None,
-            )
-        };
-        run_batched(); // warm (scratch growth, dispatch)
-        let batched = time_min_ns(5, run_batched);
-        let mut run_loop = || {
-            for s in 0..batch {
-                gemm(
-                    &a,
-                    &bs[s * k * cand..(s + 1) * k * cand],
-                    &mut out[s * m * cand..(s + 1) * m * cand],
-                    m,
-                    k,
-                    cand,
-                );
-            }
-        };
-        run_loop();
-        let looped = time_min_ns(5, run_loop);
-        if batched < looped {
-            threshold = cand + CROSSOVER_STEP;
-        } else {
-            break;
-        }
-    }
-    threshold
-}
-
-/// The routing threshold for a per-sample GEMM of shape `(m, k)`:
-/// per-sample GEMMs with `ohw` below it take the batched entry point.
-///
-/// The PR 4 threshold was a fixed `2*NR`; it is now **measured**: the first
-/// shape seen in each `(m, k)` shape class probes its crossover once per
-/// process ([`probe_crossover`]) and the result is cached for the class.
-/// `HS_BATCHED_OHW_MAX=<pixels>` pins the threshold process-wide (benches
-/// and tests that must not depend on probe timing use it; `0` disables the
-/// batched route entirely). The measured table is inspectable via
-/// [`batched_gemm_crossovers`] and logged in `docs/PERF.md`.
-fn batched_ohw_max(m: usize, k: usize) -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let pinned = *ENV.get_or_init(|| {
-        std::env::var("HS_BATCHED_OHW_MAX").ok().map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                panic!(
-                    "HS_BATCHED_OHW_MAX={v:?} is not a pixel count (use e.g. 96, or 0 to disable)"
-                )
-            })
-        })
-    });
-    if let Some(v) = pinned {
-        return v;
-    }
-    let class = shape_class(m, k);
-    let table = CROSSOVER_TABLE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&th) = sync::lock(table).get(&class) {
-        return th;
-    }
-    // probe outside the lock (it runs GEMMs that may fan out over the pool);
-    // a racing thread probing the same class just overwrites with its own
-    // measurement of the same crossover
-    let th = probe_crossover(m, k);
-    sync::lock(table).insert(class, th);
-    th
-}
-
-/// Snapshot of the measured batched-routing crossover table:
-/// `(m_class_floor, k_class_floor, ohw_threshold)` per probed shape class,
-/// sorted. Empty until the first small-`ohw` convolution routes (or when
-/// `HS_BATCHED_OHW_MAX` pins the threshold). `exp_serving_sweep` prints it;
-/// the reference numbers live in `docs/PERF.md`.
+/// The batched-routing rule as `(m_class_floor, k_class_floor,
+/// ohw_threshold)` rows: one row covering every GEMM shape (`m >= 1`,
+/// `k >= 1`), whose per-sample GEMMs route batched when `ohw < 2 * NR`.
+/// `exp_serving_sweep` prints it; `docs/PERF.md` records why the rule is
+/// static.
 pub fn batched_gemm_crossovers() -> Vec<(usize, usize, usize)> {
-    let mut out: Vec<(usize, usize, usize)> = CROSSOVER_TABLE
-        .get()
-        .map(|t| {
-            sync::lock(t)
-                .iter()
-                .map(|(&(mc, kc), &th)| (1usize << mc, 1usize << kc, th))
-                .collect()
-        })
-        .unwrap_or_default();
-    out.sort_unstable();
-    out
+    vec![(1, 1, BATCHED_OHW_MAX)]
 }
 
 thread_local! {
@@ -560,13 +355,9 @@ pub struct Conv2d {
     /// out of the struct for the duration of a call so the `&self` inference
     /// body can borrow the layer freely.
     eval_col: Vec<f32>,
-    /// Per-layer backend override (tests/benches); `None` defers to
-    /// `HS_CONV_ALGO` and then the [`ConvAlgo::select`] heuristic.
+    /// Per-layer backend override (tests/benches); `None` takes the
+    /// geometry's default (see [`Conv2d::planned_algo`]).
     forced_algo: Option<ConvAlgo>,
-    /// Lazily resolved batched-routing threshold for this layer's GEMM
-    /// shape (see [`batched_ohw_max`]) — one atomic load per forward after
-    /// the first, instead of a global table lock in the dispatch hot path.
-    batched_ohw: OnceLock<usize>,
 }
 
 impl Conv2d {
@@ -618,7 +409,6 @@ impl Conv2d {
             col_cache: Vec::new(),
             eval_col: Vec::new(),
             forced_algo: None,
-            batched_ohw: OnceLock::new(),
         }
     }
 
@@ -662,10 +452,10 @@ impl Conv2d {
     }
 
     /// Forces the inference backend for this layer (`None` restores the
-    /// `HS_CONV_ALGO`-then-heuristic default). A forced backend that cannot
-    /// execute this layer's geometry (e.g. Winograd on a strided
-    /// convolution) falls back to [`ConvAlgo::Im2colGemm`], so sweeping a
-    /// forced backend over arbitrary layers is always safe.
+    /// geometry's default). A forced backend that cannot execute this
+    /// layer's geometry (the direct kernel on a dense convolution) falls
+    /// back to [`ConvAlgo::Im2colGemm`], so sweeping a forced backend over
+    /// arbitrary layers is always safe.
     pub fn force_algo(&mut self, algo: Option<ConvAlgo>) {
         self.forced_algo = algo;
     }
@@ -689,31 +479,17 @@ impl Conv2d {
         }
     }
 
-    /// Whether the Winograd backend can execute this layer's geometry.
-    fn winograd_applicable(&self) -> bool {
-        self.kernel == 3 && self.stride == 1 && self.groups == 1
-    }
-
-    /// The backend the next inference forward will run on: the layer force,
-    /// else the `HS_CONV_ALGO` override, else the shape heuristic — clamped
-    /// to a backend that supports this geometry.
+    /// The backend the next inference forward will run on. Depthwise
+    /// convolutions take the direct kernel: their per-channel GEMMs are
+    /// 1 × k² × ohw, and im2col loses at every zoo size. Dense convolutions
+    /// take im2col→GEMM. A layer force overrides the default where the
+    /// geometry allows it. Measurements are in `docs/PERF.md` ("Conv
+    /// backend selection").
     pub fn planned_algo(&self) -> ConvAlgo {
-        let requested = self
-            .forced_algo
-            .or_else(env_forced_algo)
-            .unwrap_or_else(|| {
-                ConvAlgo::select(
-                    self.kernel,
-                    self.stride,
-                    self.groups,
-                    self.in_channels,
-                    self.out_channels,
-                )
-            });
-        match requested {
-            ConvAlgo::Winograd if !self.winograd_applicable() => ConvAlgo::Im2colGemm,
-            ConvAlgo::DirectDepthwise if !self.is_depthwise() => ConvAlgo::Im2colGemm,
-            algo => algo,
+        if self.is_depthwise() && self.forced_algo != Some(ConvAlgo::Im2colGemm) {
+            ConvAlgo::DirectDepthwise
+        } else {
+            ConvAlgo::Im2colGemm
         }
     }
 
@@ -772,7 +548,7 @@ impl Conv2d {
         let x = input.as_slice();
         // `wgt` feeds the depthwise branch, which never runs on a quantized
         // layer (depthwise weights stay f32), so the empty parked f32 slice
-        // is never read; the GEMM and Winograd routes take `wmat`.
+        // is never read; the GEMM routes take `wmat`.
         let wgt = self.weight.value.as_slice();
         let wmat = self.weight_mat();
         let bias = self.bias.value.as_slice();
@@ -782,26 +558,6 @@ impl Conv2d {
         let epilogue = ep.map(|(scale, shift, act)| Epilogue { scale, shift, act });
 
         match self.planned_algo() {
-            ConvAlgo::Winograd => {
-                // whole-batch tile transforms + 16 batched tile-GEMMs; the
-                // caller's scratch buffer holds the transform slabs
-                // (quantized weights widen inside the weight transform)
-                winograd_conv3x3_q(
-                    x,
-                    wmat,
-                    bias,
-                    epilogue,
-                    out_data,
-                    n,
-                    c,
-                    out_channels,
-                    h,
-                    w,
-                    padding,
-                    col_scratch,
-                );
-                return;
-            }
             ConvAlgo::DirectDepthwise => {
                 // one spatial micro-kernel per (sample, channel): no column
                 // matrix, no scratch at all
@@ -864,13 +620,7 @@ impl Conv2d {
         // once instead of one dispatch per group. Identity-col convs read
         // the input blocks in place; other shapes stage per-(sample, group)
         // col slabs contiguously in the same item order.
-        if batched_gemm_enabled()
-            && n > 0
-            && ohw
-                < *self
-                    .batched_ohw
-                    .get_or_init(|| batched_ohw_max(cout_g, wrow))
-        {
+        if batched_gemm_enabled() && n > 0 && ohw < BATCHED_OHW_MAX {
             let stride_out = cout_g * ohw;
             let (bs, stride_b): (&[f32], usize) = if identity_col {
                 // sample ni group g block sits at (ni*groups + g)*cin_g*h*w
@@ -900,21 +650,8 @@ impl Conv2d {
                 }
                 (&col_scratch[..n * groups * colsz], colsz)
             };
-            match ep {
-                Some((scale, shift, act)) => gemm_batch_cyclic_strided_q(
-                    wmat,
-                    bs,
-                    out_data,
-                    cout_g,
-                    wrow,
-                    ohw,
-                    n * groups,
-                    groups,
-                    cout_g * wrow,
-                    stride_b,
-                    stride_out,
-                    Some(Epilogue { scale, shift, act }),
-                ),
+            let store = match epilogue {
+                Some(e) => Store::Epilogue(e),
                 None => {
                     // unfused: the bias is the accumulation's initial value
                     for (t, out_t) in out_data.chunks_mut(stride_out).enumerate() {
@@ -923,21 +660,19 @@ impl Conv2d {
                             out_t[oc * ohw..(oc + 1) * ohw].fill(bias[g * cout_g + oc]);
                         }
                     }
-                    gemm_batch_cyclic_acc_strided_q(
-                        wmat,
-                        bs,
-                        out_data,
-                        cout_g,
-                        wrow,
-                        ohw,
-                        n * groups,
-                        groups,
-                        cout_g * wrow,
-                        stride_b,
-                        stride_out,
-                    );
+                    Store::Accumulate
                 }
-            }
+            };
+            let spec = GemmSpec {
+                items: n * groups,
+                groups,
+                stride_a: cout_g * wrow,
+                stride_b,
+                stride_out,
+                store,
+                ..GemmSpec::new(cout_g, wrow, ohw)
+            };
+            gemm(wmat, bs, out_data, &spec);
             return;
         }
 
@@ -956,27 +691,24 @@ impl Conv2d {
             };
             let w_g = wmat.slice(g * cout_g * wrow, (g + 1) * cout_g * wrow);
             let out_g = &mut out_sample[g * cout_g * ohw..(g + 1) * cout_g * ohw];
-            match ep {
-                Some((scale, shift, act)) => gemm_epilogue_q(
-                    w_g,
-                    col_ref,
-                    out_g,
-                    cout_g,
-                    wrow,
-                    ohw,
-                    &Epilogue {
-                        scale: &scale[g * cout_g..(g + 1) * cout_g],
-                        shift: &shift[g * cout_g..(g + 1) * cout_g],
-                        act,
-                    },
-                ),
+            let store = match ep {
+                Some((scale, shift, act)) => Store::Epilogue(Epilogue {
+                    scale: &scale[g * cout_g..(g + 1) * cout_g],
+                    shift: &shift[g * cout_g..(g + 1) * cout_g],
+                    act,
+                }),
                 None => {
                     for oc in 0..cout_g {
                         out_g[oc * ohw..(oc + 1) * ohw].fill(bias[g * cout_g + oc]);
                     }
-                    gemm_acc_q(w_g, col_ref, out_g, cout_g, wrow, ohw);
+                    Store::Accumulate
                 }
-            }
+            };
+            let spec = GemmSpec {
+                store,
+                ..GemmSpec::new(cout_g, wrow, ohw)
+            };
+            gemm(w_g, col_ref, out_g, &spec);
         };
 
         let bands = hs_parallel::num_threads().min(n.max(1));
@@ -1236,7 +968,11 @@ impl Layer for Conv2d {
             for oc in 0..cout_g {
                 out_g[oc * ohw..(oc + 1) * ohw].fill(bias[g * cout_g + oc]);
             }
-            gemm_acc(w_g, col, out_g, cout_g, wrow, ohw);
+            let spec = GemmSpec {
+                store: Store::Accumulate,
+                ..GemmSpec::new(cout_g, wrow, ohw)
+            };
+            gemm(WeightMat::F32(w_g), col, out_g, &spec);
         };
 
         let bands = hs_parallel::num_threads().min(n.max(1));
@@ -1370,22 +1106,22 @@ impl Layer for Conv2d {
                         }
                         // weight gradient: dW_g += dOut_g * col^T
                         transpose_into(col, &mut col_t, wrow, ohw);
-                        gemm_acc(
-                            go_g,
+                        let spec = GemmSpec {
+                            store: Store::Accumulate,
+                            ..GemmSpec::new(cout_g, ohw, wrow)
+                        };
+                        gemm(
+                            WeightMat::F32(go_g),
                             &col_t,
                             &mut gw_part[g * cout_g * wrow..(g + 1) * cout_g * wrow],
-                            cout_g,
-                            ohw,
-                            wrow,
+                            &spec,
                         );
                         // input gradient: dCol = W_g^T * dOut_g, then col2im
                         gemm(
-                            &wt[g * wrow * cout_g..(g + 1) * wrow * cout_g],
+                            WeightMat::F32(&wt[g * wrow * cout_g..(g + 1) * wrow * cout_g]),
                             go_g,
                             &mut grad_col,
-                            wrow,
-                            cout_g,
-                            ohw,
+                            &GemmSpec::new(wrow, cout_g, ohw),
                         );
                         let in_offset = si * c * h * w + g * cin_g * h * w;
                         col2im(
@@ -1735,6 +1471,12 @@ mod tests {
             (6, 6, 3, 2, 1, 2, 9, 9),
             (3, 5, 1, 1, 0, 1, 2, 2), // tiny ohw, batch panels far below NR
         ] {
+            // every case must really take the batched route
+            let ohw = ((h + 2 * p - k) / s + 1) * ((w + 2 * p - k) / s + 1);
+            assert!(
+                ohw < BATCHED_OHW_MAX,
+                "case ohw {ohw} would not route batched"
+            );
             let mut conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
             let x = Tensor::rand_uniform(&[5, cin, h, w], -1.0, 1.0, &mut rng);
             set_batched_gemm(false);

@@ -7,7 +7,7 @@
 //! * **Inference** (`train == false`) runs the fast path — batch-norm (and
 //!   the convolution bias) folded into a per-output-channel scale/shift that
 //!   the GEMM applies in its micro-kernel store loop together with the
-//!   activation ([`hs_tensor::gemm_epilogue`]), so a three-layer stack
+//!   activation ([`hs_tensor::Store::Epilogue`]), so a three-layer stack
 //!   becomes one GEMM with zero extra passes over the activation tensor.
 //! * **Training** (`train == true`) and `backward` delegate to the original
 //!   layers unchanged — a fused network remains exactly trainable, which the

@@ -74,7 +74,7 @@ impl Linear {
         );
         let n = input.dims()[0];
         out.resize_to(&[n, self.out_features]);
-        hs_tensor::gemm_nt_q(
+        hs_tensor::gemm_nt(
             input.as_slice(),
             self.weight_mat(),
             out.as_mut_slice(),

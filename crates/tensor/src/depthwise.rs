@@ -10,9 +10,9 @@
 //! (`out_row[j] += w_tap * in_row[j + kj - pad]` for stride 1), which the
 //! compiler auto-vectorises into packed FMA over the row. The optional
 //! per-channel scale/shift + activation epilogue is applied in a final pass
-//! over the freshly-computed (cache-hot) channel block, matching
-//! [`crate::gemm_epilogue`]'s semantics exactly — including NaN behaviour,
-//! since it reuses the same scalar [`crate::EpilogueAct::apply`].
+//! over the freshly-computed (cache-hot) channel block, matching the
+//! GEMM's [`crate::Store::Epilogue`] semantics exactly — including NaN
+//! behaviour, since it reuses the same scalar [`crate::EpilogueAct::apply`].
 
 use crate::gemm::Epilogue;
 

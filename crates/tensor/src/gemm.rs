@@ -13,6 +13,12 @@
 //! * row blocks fan out across the shared [`hs_parallel`] pool when the
 //!   problem is big enough and we are not already inside a pool task.
 //!
+//! One entry point, [`gemm`], runs every product. Its [`GemmSpec`] carries
+//! the shape, the item count and `A`-panel cycle of a batch, the strides
+//! and the [`Store`] mode; the algorithm follows from the shape (small-`m`
+//! direct, packed blocked, row-band parallel, or the cyclic n-blocked batch
+//! core for many skinny products).
+//!
 //! Three micro-kernels are selected **at runtime** (the build stays a plain
 //! portable `x86-64`/other target — no `-C target-cpu` required):
 //!
@@ -113,7 +119,7 @@ impl<'a> Epilogue<'a> {
     }
 
     /// Applies the epilogue to one scalar at output row `row` (shared with
-    /// the Winograd and depthwise backends, whose store loops are scalar).
+    /// the depthwise backend, whose store loop is scalar).
     #[inline]
     pub(crate) fn apply_scalar(&self, row: usize, v: f32) -> f32 {
         self.act.apply(v * self.scale[row] + self.shift[row])
@@ -551,7 +557,7 @@ fn pack_b(b: &[f32], bpack: &mut Vec<f32>, pc: usize, kc: usize, n: usize) {
 /// access. The packing routines are generic over this trait, so f16/i8
 /// weights are converted *while being packed* — the micro-kernels and the
 /// epilogue only ever see packed `f32` panels and accumulation stays `f32`.
-pub(crate) trait WeightElems: Copy + Send + Sync {
+trait WeightElems: Copy + Send + Sync {
     /// Number of elements in the view.
     fn len(&self) -> usize;
     /// Element `i`, widened to `f32`.
@@ -578,7 +584,7 @@ impl WeightElems for &[f32] {
 
 /// IEEE binary16 weight elements (raw bit patterns), widened on access.
 #[derive(Clone, Copy)]
-pub(crate) struct F16Elems<'a>(pub &'a [u16]);
+struct F16Elems<'a>(&'a [u16]);
 
 impl WeightElems for F16Elems<'_> {
     #[inline(always)]
@@ -598,9 +604,9 @@ impl WeightElems for F16Elems<'_> {
 /// Symmetric per-tensor int8 weight elements; the scale is folded in during
 /// widening, so the packed panels carry real-valued weights.
 #[derive(Clone, Copy)]
-pub(crate) struct I8Elems<'a> {
-    pub q: &'a [i8],
-    pub scale: f32,
+struct I8Elems<'a> {
+    q: &'a [i8],
+    scale: f32,
 }
 
 impl WeightElems for I8Elems<'_> {
@@ -621,12 +627,11 @@ impl WeightElems for I8Elems<'_> {
     }
 }
 
-/// A borrowed GEMM weight operand of runtime dtype — the argument type of
-/// the `_q` entry points ([`gemm_epilogue_q`], [`gemm_nt_q`], …). `F32`
-/// routes to exactly the same code as the plain-slice entries; `F16`/`I8`
-/// widen to `f32` inside the packing routines (convert-on-pack), so the
-/// bandwidth saving comes from streaming half/quarter-width weights while
-/// the arithmetic stays identical.
+/// A borrowed GEMM weight operand of runtime dtype — the `A` operand of
+/// [`gemm`] and the `B` operand of [`gemm_nt`]. `F16`/`I8` widen to `f32`
+/// inside the packing routines (convert-on-pack), so the bandwidth saving
+/// comes from streaming half/quarter-width weights while the arithmetic
+/// stays identical to `F32`.
 #[derive(Clone, Copy, Debug)]
 pub enum WeightMat<'a> {
     /// Plain `f32` weights.
@@ -663,18 +668,6 @@ impl WeightMat<'_> {
             WeightMat::F32(_) => crate::dtype::DType::F32,
             WeightMat::F16(_) => crate::dtype::DType::F16,
             WeightMat::I8 { .. } => crate::dtype::DType::I8,
-        }
-    }
-
-    /// Element `i`, widened to `f32` (used by the Winograd weight
-    /// transform, which reads each weight exactly once per call — elsewhere
-    /// widening happens inside the packing routines).
-    #[inline(always)]
-    pub fn at(&self, i: usize) -> f32 {
-        match self {
-            WeightMat::F32(s) => s[i],
-            WeightMat::F16(s) => crate::dtype::f16_bits_to_f32(s[i]),
-            WeightMat::I8 { data, scale } => data[i] as f32 * scale,
         }
     }
 
@@ -797,204 +790,238 @@ fn block_multiply(
 }
 
 // ---------------------------------------------------------------------------
-// Public entry points
+// Public entry point
 // ---------------------------------------------------------------------------
 
-/// `out = A * B` for row-major `A: [m, k]`, `B: [k, n]`, `out: [m, n]`.
-///
-/// Overwrites `out`. Operates on plain slices so callers can reuse output
-/// buffers across calls; packing scratch is thread-local, so steady-state
-/// calls do not allocate. Large problems fan out over row blocks on the
-/// shared [`hs_parallel`] pool; calls made from inside a pool task stay
-/// serial (the pool is already saturated).
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its `m`/`k`/`n` contract.
-pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(
-        a.len() >= m * k,
-        "A is {} elements, need m*k = {}",
-        a.len(),
-        m * k
-    );
-    assert!(
-        b.len() >= k * n,
-        "B is {} elements, need k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert!(
-        out.len() >= m * n,
-        "out is {} elements, need m*n = {}",
-        out.len(),
-        m * n
-    );
-    out[..m * n].fill(0.0);
-    gemm_acc(a, b, out, m, k, n);
+/// How a [`gemm`] call stores its product into the output panels.
+#[derive(Clone, Copy)]
+pub enum Store<'a> {
+    /// `out = A * B`; stale output contents are ignored.
+    Overwrite,
+    /// `out += A * B`; the caller provides the initial value (e.g. a bias
+    /// fill).
+    Accumulate,
+    /// `out = act(scale ⊙ (A * B) + shift)`, applied in the micro-kernel
+    /// store loop of the final `k` panel — the fused inference path for
+    /// `Conv2d -> BatchNorm2d -> activation` stacks. Overwrites like
+    /// [`Store::Overwrite`]. Item `t` of a cyclic batch uses rows
+    /// `[(t % groups) * m, (t % groups + 1) * m)` of `scale`/`shift`.
+    Epilogue(Epilogue<'a>),
 }
 
-/// `out += A * B`; otherwise identical to [`gemm`].
+/// The contract of one [`gemm`] call: `items` row-major products
+/// `out_t = A_{t % groups} * B_t` with `A: [m, k]`, `B_t: [k, n]` and
+/// `out_t: [m, n]`, stored as [`Store`] says.
 ///
-/// # Panics
-///
-/// Panics if any slice is shorter than its `m`/`k`/`n` contract.
-pub fn gemm_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_acc_q(WeightMat::F32(a), b, out, m, k, n);
+/// Item `t`'s `B` panel starts at `t * stride_b` and its output panel at
+/// `t * stride_out`; the `groups` `A` panels sit `stride_a` apart
+/// (`stride_a == 0` shares one panel). Items are sample-major, group-minor
+/// (`t = sample * groups + group`) — the layout of a grouped convolution's
+/// per-(sample, group) GEMMs. `groups == items` gives every item its own
+/// `A` panel. Strides only matter when `items > 1`.
+#[derive(Clone, Copy)]
+pub struct GemmSpec<'a> {
+    /// Rows of `A` and of each output panel.
+    pub m: usize,
+    /// Columns of `A`, rows of each `B` panel.
+    pub k: usize,
+    /// Columns of each `B` and output panel.
+    pub n: usize,
+    /// Number of products.
+    pub items: usize,
+    /// Period of the `A` panel cycle; must divide `items`.
+    pub groups: usize,
+    /// Distance between consecutive `A` panels.
+    pub stride_a: usize,
+    /// Distance between consecutive `B` panels.
+    pub stride_b: usize,
+    /// Distance between consecutive output panels; elements between panels
+    /// are left untouched.
+    pub stride_out: usize,
+    /// How the product is stored.
+    pub store: Store<'a>,
 }
 
-/// [`gemm_acc`] over a runtime-dtype `A` operand: quantized weights widen
-/// to `f32` inside the packing pass (convert-on-pack), the micro-kernels
-/// and accumulation stay `f32`.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its `m`/`k`/`n` contract.
-pub fn gemm_acc_q(a: WeightMat<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(
-        a.len() >= m * k,
-        "A is {} elements, need m*k = {}",
-        a.len(),
-        m * k
-    );
-    assert!(
-        b.len() >= k * n,
-        "B is {} elements, need k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert!(
-        out.len() >= m * n,
-        "out is {} elements, need m*n = {}",
-        out.len(),
-        m * n
-    );
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        return; // out += A(empty k) * B contributes nothing
-    }
-    let parallel = 2 * m * k * n >= PARALLEL_FLOP_THRESHOLD
-        && m >= 2 * MR
-        && hs_parallel::num_threads() > 1
-        && !hs_parallel::inside_pool();
-    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, parallel, None));
-}
-
-/// `out = act(scale ⊙ (A * B) + shift)` with the per-row affine + activation
-/// applied in the micro-kernel store loop of the final `k` panel — the fused
-/// inference path for `Conv2d -> BatchNorm2d -> activation` stacks.
-///
-/// Overwrites `out` (any stale contents are ignored). Shares every other
-/// property with [`gemm`]: slice-based, thread-local packing scratch,
-/// row-block parallelism on big problems.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its `m`/`k`/`n` contract or the
-/// epilogue's scale/shift hold fewer than `m` entries.
-pub fn gemm_epilogue(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ep: &Epilogue<'_>,
-) {
-    gemm_epilogue_q(WeightMat::F32(a), b, out, m, k, n, ep);
-}
-
-/// [`gemm_epilogue`] over a runtime-dtype `A` operand: the fused
-/// scale/shift + activation path of the quantized inference tier. Quantized
-/// weights widen to `f32` while being packed; the epilogue semantics are
-/// identical to the `f32` entry.
-///
-/// # Panics
-///
-/// As [`gemm_epilogue`].
-pub fn gemm_epilogue_q(
-    a: WeightMat<'_>,
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ep: &Epilogue<'_>,
-) {
-    assert!(
-        a.len() >= m * k,
-        "A is {} elements, need m*k = {}",
-        a.len(),
-        m * k
-    );
-    assert!(
-        b.len() >= k * n,
-        "B is {} elements, need k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert!(
-        out.len() >= m * n,
-        "out is {} elements, need m*n = {}",
-        out.len(),
-        m * n
-    );
-    assert!(ep.scale.len() >= m, "epilogue scale needs {m} entries");
-    assert!(ep.shift.len() >= m, "epilogue shift needs {m} entries");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // A*B is all zeros; the epilogue still applies
-        for (i, row) in out[..m * n].chunks_mut(n).enumerate() {
-            row.fill(ep.apply_scalar(i, 0.0));
+impl GemmSpec<'_> {
+    /// A single overwriting product `out = A * B` over dense panels.
+    pub fn new(m: usize, k: usize, n: usize) -> Self {
+        GemmSpec {
+            m,
+            k,
+            n,
+            items: 1,
+            groups: 1,
+            stride_a: m * k,
+            stride_b: k * n,
+            stride_out: m * n,
+            store: Store::Overwrite,
         }
+    }
+
+    /// Checks the spec against the operand lengths.
+    fn validate(&self, a_len: usize, b_len: usize, out_len: usize) {
+        let GemmSpec {
+            m,
+            k,
+            n,
+            items,
+            groups,
+            stride_a,
+            stride_b,
+            stride_out,
+            store,
+        } = *self;
+        assert!(groups >= 1, "a GEMM needs at least one group");
+        assert_eq!(
+            items % groups,
+            0,
+            "item count {items} must be a multiple of groups {groups}"
+        );
+        if let Store::Epilogue(e) = store {
+            let rows = groups * m;
+            assert!(e.scale.len() >= rows, "epilogue scale needs {rows} entries");
+            assert!(e.shift.len() >= rows, "epilogue shift needs {rows} entries");
+        }
+        if items == 0 {
+            return;
+        }
+        if groups > 1 {
+            assert!(
+                stride_a == 0 || stride_a >= m * k,
+                "stride_a {stride_a} smaller than an A panel (m*k = {})",
+                m * k
+            );
+        }
+        if items > 1 {
+            assert!(
+                stride_b >= k * n,
+                "stride_b {stride_b} smaller than a B panel (k*n = {})",
+                k * n
+            );
+            assert!(
+                stride_out >= m * n,
+                "stride_out {stride_out} smaller than an output panel (m*n = {})",
+                m * n
+            );
+        }
+        let need_a = (groups - 1) * stride_a + m * k;
+        assert!(a_len >= need_a, "A is {a_len} elements, need {need_a}");
+        let need_b = (items - 1) * stride_b + k * n;
+        assert!(b_len >= need_b, "B is {b_len} elements, need {need_b}");
+        let need_out = (items - 1) * stride_out + m * n;
+        assert!(
+            out_len >= need_out,
+            "out is {out_len} elements, need {need_out}"
+        );
+    }
+
+    /// Whether the call is worth fanning out over the pool: a single product
+    /// splits into row bands (so needs two tiles of rows), a batch into
+    /// sample bands (so needs two samples).
+    fn parallel(&self) -> bool {
+        let shape_splits = if self.items == 1 {
+            self.m >= 2 * MR
+        } else {
+            self.items / self.groups >= 2
+        };
+        shape_splits
+            && 2 * self.m * self.k * self.n * self.items >= PARALLEL_FLOP_THRESHOLD
+            && hs_parallel::num_threads() > 1
+            && !hs_parallel::inside_pool()
+    }
+}
+
+/// The GEMM entry point: runs the products described by `spec` (see
+/// [`GemmSpec`]) with `A` of any [`WeightMat`] dtype. Quantized weights
+/// widen to `f32` inside the packing pass (convert-on-pack); the
+/// micro-kernels and accumulation stay `f32`.
+///
+/// The algorithm follows from the shape. A single product with `m <= 64`
+/// packs `A` and reads `B` in place; a taller one runs the packed blocked
+/// path, split into row bands over the shared [`hs_parallel`] pool when it
+/// is big enough. Several items run the cyclic batched core: each group's
+/// `A` panel is packed once per k-panel and the skinny `B` panels of its
+/// samples are laid side by side in `NR`-wide strips, so the register tile
+/// runs at full width even when `n < NR`; large batches fan out over sample
+/// bands. Calls made from inside a pool task stay serial. Packing scratch
+/// is thread-local, so steady-state calls do not allocate.
+///
+/// # Panics
+///
+/// Panics if `groups` is zero or does not divide `items`, a slice is
+/// shorter than its strided contract, a stride is smaller than its panel,
+/// or an epilogue's scale/shift hold fewer than `groups * m` entries.
+pub fn gemm(a: WeightMat<'_>, b: &[f32], out: &mut [f32], spec: &GemmSpec<'_>) {
+    spec.validate(a.len(), b.len(), out.len());
+    with_elems!(a, aa => gemm_run(aa, b, out, spec, spec.parallel()));
+}
+
+/// The body of [`gemm`] after validation, with an explicit parallel/serial
+/// switch so tests can exercise both paths regardless of the host's core
+/// count.
+fn gemm_run<A: WeightElems>(a: A, b: &[f32], out: &mut [f32], spec: &GemmSpec<'_>, parallel: bool) {
+    let GemmSpec {
+        m,
+        k,
+        n,
+        items,
+        groups,
+        stride_out,
+        store,
+        ..
+    } = *spec;
+    if items == 0 || m == 0 || n == 0 {
         return;
     }
-    out[..m * n].fill(0.0);
-    let parallel = 2 * m * k * n >= PARALLEL_FLOP_THRESHOLD
-        && m >= 2 * MR
-        && hs_parallel::num_threads() > 1
-        && !hs_parallel::inside_pool();
-    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, parallel, Some(*ep)));
+    // every overwriting store accumulates into zeros; with k == 0 the
+    // product is all zeros and only the epilogue remains
+    for t in 0..items {
+        let panel = &mut out[t * stride_out..t * stride_out + m * n];
+        match store {
+            Store::Accumulate => {}
+            Store::Epilogue(e) if k == 0 => {
+                let e = e.offset_rows((t % groups) * m);
+                for (i, row) in panel.chunks_mut(n).enumerate() {
+                    row.fill(e.apply_scalar(i, 0.0));
+                }
+            }
+            Store::Overwrite | Store::Epilogue(_) => panel.fill(0.0),
+        }
+    }
+    if k == 0 {
+        return;
+    }
+    let ep = match store {
+        Store::Epilogue(e) => Some(e),
+        Store::Overwrite | Store::Accumulate => None,
+    };
+    let which = isa();
+    // balance the k panels: k = 288 runs as 144+144, not 256+32 (a short
+    // trailing panel wastes micro-kernel efficiency on its store phase)
+    let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
+    if items == 1 {
+        gemm_single(which, a, b, out, m, k, n, kc_target, parallel, ep);
+    } else {
+        gemm_cyclic(which, a, b, out, spec, kc_target, parallel, ep);
+    }
 }
 
-/// Internal implementation with an explicit parallel/serial switch so tests
-/// can exercise both paths regardless of the host's core count.
-#[cfg(test)]
-pub(crate) fn gemm_acc_impl(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    parallel: bool,
-) {
-    gemm_impl(a, b, out, m, k, n, parallel, None);
-}
-
-/// The blocked GEMM core behind [`gemm_acc`] and [`gemm_epilogue`]. `ep` is
-/// applied at store time on the final `k` panel only, so every output
-/// element is transformed exactly once. Generic over the `A` element view:
-/// quantized weights widen inside [`pack_a`].
+/// One blocked product `out += A * B` (`out` already holds the base value).
+/// `ep` is applied at store time on the final `k` panel only, so every
+/// output element is transformed exactly once.
 #[allow(clippy::too_many_arguments)]
-fn gemm_impl<A: WeightElems>(
+fn gemm_single<A: WeightElems>(
+    which: Isa,
     a: A,
     b: &[f32],
     out: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
+    kc_target: usize,
     parallel: bool,
     ep: Option<Epilogue<'_>>,
 ) {
-    let which = isa();
-    // balance the k panels: k = 288 runs as 144+144, not 256+32 (a short
-    // trailing panel wastes micro-kernel efficiency on its store phase)
-    let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
     if !parallel {
         if m <= DIRECT_M_MAX {
             gemm_small_m(which, a, b, out, m, k, n, kc_target, ep);
@@ -1248,7 +1275,7 @@ fn gemm_batch_core<A: WeightElems>(
         let kc = kc_target.min(k - pc);
         let ep_panel = if pc + kc >= k { ep } else { None };
         // every strip of the whole batch is gather-packed once per k-panel
-        // (outside the A row-block loop, like gemm_impl's pack_b)
+        // (outside the A row-block loop, like gemm_single's pack_b)
         pack_b_batch(bs, &mut scratch.bpack, pc, kc, n, stride_b, n_total);
         let mut row0 = 0;
         while row0 < m {
@@ -1306,393 +1333,39 @@ fn gemm_batch_core<A: WeightElems>(
     }
 }
 
-/// Shared implementation behind [`gemm_batch_strided`] /
-/// [`gemm_batch_acc_strided`] with an explicit parallel/serial switch so
-/// tests can exercise both paths regardless of the host's core count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_batch_impl(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    acc: bool,
-    ep: Option<Epilogue<'_>>,
-    parallel: bool,
-) {
-    debug_assert!(ep.is_none() || !acc, "epilogue implies overwrite semantics");
-    if batch == 0 || m == 0 || n == 0 {
-        return;
-    }
-    if !acc {
-        // overwrite semantics: clear every output panel (the strips then
-        // accumulate into zeros, exactly like `gemm`)
-        for s in 0..batch {
-            outs[s * stride_out..s * stride_out + m * n].fill(0.0);
-        }
-    }
-    if k == 0 {
-        if let Some(e) = ep {
-            // A*B is all zeros; the epilogue still applies
-            for s in 0..batch {
-                let panel = &mut outs[s * stride_out..s * stride_out + m * n];
-                for (i, row) in panel.chunks_mut(n).enumerate() {
-                    row.fill(e.apply_scalar(i, 0.0));
-                }
-            }
-        }
-        return;
-    }
-    let which = isa();
-    let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
-    if !parallel {
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            if stride_a == 0 {
-                gemm_batch_core(
-                    which, scratch, a, bs, outs, m, k, n, batch, stride_b, stride_out, kc_target,
-                    ep,
-                );
-            } else {
-                // per-item A panels: items run independently, but share one
-                // dispatch, one scratch, and the same packed-strip machinery
-                for s in 0..batch {
-                    gemm_batch_core(
-                        which,
-                        scratch,
-                        &a[s * stride_a..],
-                        &bs[s * stride_b..],
-                        &mut outs[s * stride_out..],
-                        m,
-                        k,
-                        n,
-                        1,
-                        stride_b,
-                        stride_out,
-                        kc_target,
-                        ep,
-                    );
-                }
-            }
-        });
-        return;
-    }
-
-    // Parallel path: shard the batch into contiguous item bands; each pool
-    // task packs into its own short-lived scratch (A is small in the batched
-    // regime, so re-packing it per band is cheaper than sharing).
-    let bands = hs_parallel::num_threads().min(batch);
-    let band_len = batch.div_ceil(bands).max(1);
-    let outs = &mut outs[..(batch - 1) * stride_out + m * n];
-    hs_parallel::scope(|sc| {
-        for (band, out_band) in outs.chunks_mut(band_len * stride_out).enumerate() {
-            sc.spawn(move || {
-                let s0 = band * band_len;
-                let items = band_len.min(batch - s0);
-                let mut scratch = GemmScratch::new();
-                if stride_a == 0 {
-                    gemm_batch_core(
-                        which,
-                        &mut scratch,
-                        a,
-                        &bs[s0 * stride_b..],
-                        out_band,
-                        m,
-                        k,
-                        n,
-                        items,
-                        stride_b,
-                        stride_out,
-                        kc_target,
-                        ep,
-                    );
-                } else {
-                    for i in 0..items {
-                        gemm_batch_core(
-                            which,
-                            &mut scratch,
-                            &a[(s0 + i) * stride_a..],
-                            &bs[(s0 + i) * stride_b..],
-                            &mut out_band[i * stride_out..],
-                            m,
-                            k,
-                            n,
-                            1,
-                            stride_b,
-                            stride_out,
-                            kc_target,
-                            ep,
-                        );
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Validates the strided-batch slice contracts shared by
-/// [`gemm_batch_strided`] and [`gemm_batch_acc_strided`].
-#[allow(clippy::too_many_arguments)]
-fn assert_batch_contract(
-    a: &[f32],
-    bs: &[f32],
-    outs: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    if batch == 0 {
-        return;
-    }
-    if batch > 1 {
-        assert!(
-            stride_a == 0 || stride_a >= m * k,
-            "stride_a {stride_a} smaller than an A panel (m*k = {})",
-            m * k
-        );
-        assert!(
-            stride_b >= k * n,
-            "stride_b {stride_b} smaller than a B panel (k*n = {})",
-            k * n
-        );
-        assert!(
-            stride_out >= m * n,
-            "stride_out {stride_out} smaller than an output panel (m*n = {})",
-            m * n
-        );
-    }
-    assert!(
-        a.len() >= (batch - 1) * stride_a + m * k,
-        "A is {} elements, need (batch-1)*stride_a + m*k = {}",
-        a.len(),
-        (batch - 1) * stride_a + m * k
-    );
-    assert!(
-        bs.len() >= (batch - 1) * stride_b + k * n,
-        "B is {} elements, need (batch-1)*stride_b + k*n = {}",
-        bs.len(),
-        (batch - 1) * stride_b + k * n
-    );
-    assert!(
-        outs.len() >= (batch - 1) * stride_out + m * n,
-        "out is {} elements, need (batch-1)*stride_out + m*n = {}",
-        outs.len(),
-        (batch - 1) * stride_out + m * n
-    );
-}
-
-/// Whether a batched problem is worth fanning out over the pool.
-fn batch_parallel(m: usize, k: usize, n: usize, batch: usize) -> bool {
-    batch >= 2
-        && 2 * m * k * n * batch >= PARALLEL_FLOP_THRESHOLD
-        && hs_parallel::num_threads() > 1
-        && !hs_parallel::inside_pool()
-}
-
-/// Batched small-GEMM: `outs[s] = act(scale ⊙ (A_s * B_s) + shift)` for
-/// `s < batch`, where `A_s = a[s * stride_a ..]` (`stride_a == 0` means one
-/// shared `A`, the common conv-weight case), `B_s = bs[s * stride_b ..]` and
-/// the output panels sit `stride_out` apart.
-///
-/// This is the many-skinny-GEMMs entry point: a per-sample 1×1-conv GEMM at
-/// 4×4–8×8 spatial has `n = 16..64 < NR`, so calling [`gemm`] per sample
-/// re-packs the shared weight panel every time and runs every strip as a
-/// ragged edge. Here the shared `A` is packed **once per k-panel**, all
-/// samples' column panels stream through the hot micro-kernel back to back,
-/// and the n-blocked packing ([`pack_b_batch`]) lays several samples' skinny
-/// panels side by side in one `NR`-wide strip so the register tile runs at
-/// full width. The optional [`Epilogue`] (per-output-row scale/shift +
-/// activation) is applied in the store pass on all ISA tiers, exactly like
-/// [`gemm_epilogue`].
-///
-/// Overwrites each `m*n` output panel (elements between panels are left
-/// untouched). Large batches fan out item bands over the shared
-/// [`hs_parallel`] pool; calls from inside a pool task stay serial.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its strided contract, a stride is
-/// smaller than its panel (`batch > 1`), or the epilogue's scale/shift hold
-/// fewer than `m` entries.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_strided(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    ep: Option<Epilogue<'_>>,
-) {
-    assert_batch_contract(a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out);
-    if let Some(e) = &ep {
-        assert!(e.scale.len() >= m, "epilogue scale needs {m} entries");
-        assert!(e.shift.len() >= m, "epilogue shift needs {m} entries");
-    }
-    let parallel = batch_parallel(m, k, n, batch);
-    gemm_batch_impl(
-        a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out, false, ep, parallel,
-    );
-}
-
-/// `outs[s] += A_s * B_s` for `s < batch`; otherwise identical to
-/// [`gemm_batch_strided`] (no epilogue — accumulation implies the caller
-/// provides the initial value, e.g. a bias fill).
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its strided contract or a stride is
-/// smaller than its panel (`batch > 1`).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_acc_strided(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    assert_batch_contract(a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out);
-    let parallel = batch_parallel(m, k, n, batch);
-    gemm_batch_impl(
-        a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out, true, None, parallel,
-    );
-}
-
-/// Validates the cyclic-batch contracts shared by
-/// [`gemm_batch_cyclic_strided`] and [`gemm_batch_cyclic_acc_strided`].
-#[allow(clippy::too_many_arguments)]
-fn assert_cyclic_contract(
-    a_len: usize,
-    bs: &[f32],
-    outs: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    assert!(groups >= 1, "cyclic batch needs at least one group");
-    assert_eq!(
-        batch % groups,
-        0,
-        "cyclic batch size {batch} must be a multiple of groups {groups}"
-    );
-    if batch == 0 {
-        return;
-    }
-    if groups > 1 {
-        assert!(
-            stride_a == 0 || stride_a >= m * k,
-            "stride_a {stride_a} smaller than an A panel (m*k = {})",
-            m * k
-        );
-    }
-    if batch > 1 {
-        assert!(
-            stride_b >= k * n,
-            "stride_b {stride_b} smaller than a B panel (k*n = {})",
-            k * n
-        );
-        assert!(
-            stride_out >= m * n,
-            "stride_out {stride_out} smaller than an output panel (m*n = {})",
-            m * n
-        );
-    }
-    assert!(
-        a_len >= (groups - 1) * stride_a + m * k,
-        "A is {} elements, need (groups-1)*stride_a + m*k = {}",
-        a_len,
-        (groups - 1) * stride_a + m * k
-    );
-    assert!(
-        bs.len() >= (batch - 1) * stride_b + k * n,
-        "B is {} elements, need (batch-1)*stride_b + k*n = {}",
-        bs.len(),
-        (batch - 1) * stride_b + k * n
-    );
-    assert!(
-        outs.len() >= (batch - 1) * stride_out + m * n,
-        "out is {} elements, need (batch-1)*stride_out + m*n = {}",
-        outs.len(),
-        (batch - 1) * stride_out + m * n
-    );
-}
-
-/// Shared implementation behind [`gemm_batch_cyclic_strided`] /
-/// [`gemm_batch_cyclic_acc_strided`]: `batch` items whose `A` panels cycle
+/// The batched path of [`gemm`]: `items` products whose `A` panels cycle
 /// with period `groups` (`A_t = a[(t % groups) * stride_a ..]`).
 ///
 /// Per group `g`, the item subsequence `t ≡ g (mod groups)` has uniform
 /// strides `groups * stride_b` / `groups * stride_out`, so each group runs
 /// the shared-A batched core ([`gemm_batch_core`]): the group's `A` panel is
 /// packed once per k-panel and its samples' skinny columns share `NR`-wide
-/// strips exactly like [`gemm_batch_strided`] with `stride_a == 0`. The
-/// parallel path bands over **samples** (each band covers all groups for a
-/// contiguous sample range, so output bands stay contiguous and
-/// `chunks_mut`-splittable).
+/// strips. The parallel path bands over **samples** (each band covers all
+/// groups for a contiguous sample range, so output bands stay contiguous
+/// and `chunks_mut`-splittable).
 #[allow(clippy::too_many_arguments)]
-fn gemm_batch_cyclic_impl<A: WeightElems>(
+fn gemm_cyclic<A: WeightElems>(
+    which: Isa,
     a: A,
     bs: &[f32],
     outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    acc: bool,
-    ep: Option<Epilogue<'_>>,
+    spec: &GemmSpec<'_>,
+    kc_target: usize,
     parallel: bool,
+    ep: Option<Epilogue<'_>>,
 ) {
-    debug_assert!(ep.is_none() || !acc, "epilogue implies overwrite semantics");
-    if batch == 0 || m == 0 || n == 0 {
-        return;
-    }
-    let per_group = batch / groups;
-    if !acc {
-        for t in 0..batch {
-            outs[t * stride_out..t * stride_out + m * n].fill(0.0);
-        }
-    }
-    if k == 0 {
-        if let Some(e) = ep {
-            for t in 0..batch {
-                let e = e.offset_rows((t % groups) * m);
-                let panel = &mut outs[t * stride_out..t * stride_out + m * n];
-                for (i, row) in panel.chunks_mut(n).enumerate() {
-                    row.fill(e.apply_scalar(i, 0.0));
-                }
-            }
-        }
-        return;
-    }
-    let which = isa();
-    let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
+    let GemmSpec {
+        m,
+        k,
+        n,
+        items,
+        groups,
+        stride_a,
+        stride_b,
+        stride_out,
+        ..
+    } = *spec;
+    let per_group = items / groups;
     if !parallel {
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
@@ -1719,10 +1392,11 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
 
     // Parallel path: contiguous sample bands (each sample = `groups`
     // consecutive items), every band running all of its groups' shared-A
-    // cores with its own short-lived scratch.
+    // cores with its own short-lived scratch (A is small in the batched
+    // regime, so re-packing it per band is cheaper than sharing).
     let bands = hs_parallel::num_threads().min(per_group);
     let band_len = per_group.div_ceil(bands).max(1);
-    let outs = &mut outs[..(batch - 1) * stride_out + m * n];
+    let outs = &mut outs[..(items - 1) * stride_out + m * n];
     hs_parallel::scope(|sc| {
         for (band, out_band) in outs.chunks_mut(band_len * groups * stride_out).enumerate() {
             sc.spawn(move || {
@@ -1751,210 +1425,17 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
     });
 }
 
-/// Grouped batched small-GEMM:
-/// `outs[t] = act(scale ⊙ (A_{t % groups} * B_t) + shift)` for `t < batch`,
-/// where the `groups` A panels sit `stride_a` apart and items are
-/// **sample-major, group-minor** (`t = sample * groups + group`) — the
-/// layout of a grouped convolution's per-(sample, group) GEMMs over
-/// `groups × samples`.
-///
-/// This folds the per-group loop a caller would otherwise run around
-/// [`gemm_batch_strided`] into one call: every group's weight panel is still
-/// packed once per k-panel and its samples' skinny columns still share
-/// full-width register strips, but the pool fan-out now bands over the whole
-/// `groups × samples` item space at once instead of `groups` separate
-/// dispatches. The epilogue's `scale`/`shift` hold `groups * m` rows; item
-/// `t` uses rows `[(t % groups) * m, (t % groups + 1) * m)`.
-///
-/// `groups == 1` is exactly [`gemm_batch_strided`] with a shared `A`.
-///
-/// # Panics
-///
-/// Panics if `batch` is not a multiple of `groups`, any slice is shorter
-/// than its strided contract, a stride is smaller than its panel, or the
-/// epilogue's scale/shift hold fewer than `groups * m` entries.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_cyclic_strided(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    ep: Option<Epilogue<'_>>,
-) {
-    gemm_batch_cyclic_strided_q(
-        WeightMat::F32(a),
-        bs,
-        outs,
-        m,
-        k,
-        n,
-        batch,
-        groups,
-        stride_a,
-        stride_b,
-        stride_out,
-        ep,
-    );
-}
-
-/// [`gemm_batch_cyclic_strided`] over a runtime-dtype weight operand:
-/// quantized `A` panels widen to `f32` while being packed (once per
-/// k-panel), so the per-sample streaming cost of the weights is halved
-/// (f16) or quartered (i8) while the arithmetic stays `f32`.
-///
-/// # Panics
-///
-/// As [`gemm_batch_cyclic_strided`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_cyclic_strided_q(
-    a: WeightMat<'_>,
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    ep: Option<Epilogue<'_>>,
-) {
-    assert_cyclic_contract(
-        a.len(),
-        bs,
-        outs,
-        m,
-        k,
-        n,
-        batch,
-        groups,
-        stride_a,
-        stride_b,
-        stride_out,
-    );
-    if let Some(e) = &ep {
-        assert!(
-            e.scale.len() >= groups * m,
-            "epilogue scale needs {} entries",
-            groups * m
-        );
-        assert!(
-            e.shift.len() >= groups * m,
-            "epilogue shift needs {} entries",
-            groups * m
-        );
-    }
-    let parallel = batch_parallel(m, k, n, batch) && batch / groups.max(1) >= 2;
-    with_elems!(a, aa => gemm_batch_cyclic_impl(
-        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, false, ep, parallel,
-    ));
-}
-
-/// `outs[t] += A_{t % groups} * B_t` for `t < batch`; otherwise identical to
-/// [`gemm_batch_cyclic_strided`] (no epilogue — accumulation implies the
-/// caller provides the initial value, e.g. a bias fill).
-///
-/// # Panics
-///
-/// As [`gemm_batch_cyclic_strided`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_cyclic_acc_strided(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    gemm_batch_cyclic_acc_strided_q(
-        WeightMat::F32(a),
-        bs,
-        outs,
-        m,
-        k,
-        n,
-        batch,
-        groups,
-        stride_a,
-        stride_b,
-        stride_out,
-    );
-}
-
-/// [`gemm_batch_cyclic_acc_strided`] over a runtime-dtype weight operand
-/// (see [`gemm_batch_cyclic_strided_q`] for the convert-on-pack semantics).
-///
-/// # Panics
-///
-/// As [`gemm_batch_cyclic_strided`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_cyclic_acc_strided_q(
-    a: WeightMat<'_>,
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    assert_cyclic_contract(
-        a.len(),
-        bs,
-        outs,
-        m,
-        k,
-        n,
-        batch,
-        groups,
-        stride_a,
-        stride_b,
-        stride_out,
-    );
-    let parallel = batch_parallel(m, k, n, batch) && batch / groups.max(1) >= 2;
-    with_elems!(a, aa => gemm_batch_cyclic_impl(
-        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, true, None, parallel,
-    ));
-}
-
 /// `out = A * B^T` for row-major `A: [m, k]`, `B: [n, k]`, `out: [m, n]`.
 ///
-/// The transpose of `B` is staged in a thread-local scratch buffer, so
-/// steady-state calls do not allocate.
+/// `B` is the weight operand of the `Linear` inference path, so it may be
+/// quantized: it widens to `f32` *during the transpose staging pass* (the
+/// i8 scale is folded in there) and the inner [`gemm`] runs all-`f32`. The
+/// staging buffer is thread-local, so steady-state calls do not allocate.
 ///
 /// # Panics
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` contract.
-pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_nt_q(a, WeightMat::F32(b), out, m, k, n);
-}
-
-/// [`gemm_nt`] over a runtime-dtype `B` operand — the `Linear` inference
-/// path with quantized weights. The weights widen to `f32` *during the
-/// transpose staging pass* (the i8 scale is folded in there), so the inner
-/// GEMM runs all-`f32` and the bandwidth saving comes from streaming the
-/// narrow weight buffer exactly once.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its `m`/`k`/`n` contract.
-pub fn gemm_nt_q(a: &[f32], b: WeightMat<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
+pub fn gemm_nt(a: &[f32], b: WeightMat<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     assert!(
         b.len() >= n * k,
         "B is {} elements, need n*k = {}",
@@ -1970,7 +1451,7 @@ pub fn gemm_nt_q(a: &[f32], b: WeightMat<'_>, out: &mut [f32], m: usize, k: usiz
         buf.resize(k * n, 0.0);
     }
     with_elems!(b, bb => transpose_elems_into(bb, &mut buf, n, k));
-    gemm(a, &buf, out, m, k, n);
+    gemm(WeightMat::F32(a), &buf, out, &GemmSpec::new(m, k, n));
     TRANSPOSE_SCRATCH.with(|cell| *cell.borrow_mut() = buf);
 }
 
@@ -1995,7 +1476,7 @@ pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
         buf.resize(k * m, 0.0);
     }
     transpose_into(a, &mut buf, k, m);
-    gemm(&buf, b, out, m, k, n);
+    gemm(WeightMat::F32(&buf), b, out, &GemmSpec::new(m, k, n));
     TRANSPOSE_SCRATCH.with(|cell| *cell.borrow_mut() = buf);
 }
 
@@ -2013,7 +1494,7 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 }
 
 /// The generic transpose body behind [`transpose_into`] and the quantized
-/// [`gemm_nt_q`] staging pass: elements widen to `f32` as they are scattered
+/// [`gemm_nt`] staging pass: elements widen to `f32` as they are scattered
 /// into `dst`.
 fn transpose_elems_into<A: WeightElems>(src: A, dst: &mut [f32], rows: usize, cols: usize) {
     assert!(src.len() >= rows * cols, "transpose src too short");
@@ -2057,6 +1538,42 @@ mod tests {
         }
     }
 
+    /// `gemm` over an `f32` `A` operand.
+    fn gemm_f32(a: &[f32], b: &[f32], out: &mut [f32], spec: &GemmSpec<'_>) {
+        gemm(WeightMat::F32(a), b, out, spec);
+    }
+
+    fn accumulate(m: usize, k: usize, n: usize) -> GemmSpec<'static> {
+        GemmSpec {
+            store: Store::Accumulate,
+            ..GemmSpec::new(m, k, n)
+        }
+    }
+
+    fn with_epilogue<'a>(m: usize, k: usize, n: usize, ep: &Epilogue<'a>) -> GemmSpec<'a> {
+        GemmSpec {
+            store: Store::Epilogue(*ep),
+            ..GemmSpec::new(m, k, n)
+        }
+    }
+
+    /// `items` products over dense, back-to-back panels.
+    fn batch<'a>(
+        m: usize,
+        k: usize,
+        n: usize,
+        items: usize,
+        groups: usize,
+        store: Store<'a>,
+    ) -> GemmSpec<'a> {
+        GemmSpec {
+            items,
+            groups,
+            store,
+            ..GemmSpec::new(m, k, n)
+        }
+    }
+
     #[test]
     fn matches_naive_on_square_sizes() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -2066,7 +1583,7 @@ mod tests {
             let mut expect = vec![0.0; size * size];
             matmul_naive(&a, &b, &mut expect, size, size, size);
             let mut got = vec![0.0; size * size];
-            gemm(&a, &b, &mut got, size, size, size);
+            gemm_f32(&a, &b, &mut got, &GemmSpec::new(size, size, size));
             assert_close(&expect, &got, 1e-5, &format!("square {size}"));
         }
     }
@@ -2089,7 +1606,7 @@ mod tests {
             let mut expect = vec![0.0; m * n];
             matmul_naive(&a, &b, &mut expect, m, k, n);
             let mut got = vec![0.0; m * n];
-            gemm(&a, &b, &mut got, m, k, n);
+            gemm_f32(&a, &b, &mut got, &GemmSpec::new(m, k, n));
             assert_close(&expect, &got, 1e-5, &format!("{m}x{k}x{n}"));
         }
     }
@@ -2100,36 +1617,37 @@ mod tests {
         for (m, k, n) in [(37usize, 65usize, 83usize), (128, 128, 128), (257, 96, 61)] {
             let a = random_matrix(&mut rng, m * k);
             let b = random_matrix(&mut rng, k * n);
+            let spec = GemmSpec::new(m, k, n);
             let mut serial = vec![0.0; m * n];
-            gemm_acc_impl(&a, &b, &mut serial, m, k, n, false);
+            gemm_run(a.as_slice(), &b, &mut serial, &spec, false);
             let mut parallel = vec![0.0; m * n];
-            gemm_acc_impl(&a, &b, &mut parallel, m, k, n, true);
+            gemm_run(a.as_slice(), &b, &mut parallel, &spec, true);
             assert_eq!(serial, parallel, "{m}x{k}x{n} parallel/serial divergence");
         }
     }
 
     #[test]
-    fn gemm_acc_accumulates() {
+    fn accumulate_adds_to_prior_contents() {
         let mut rng = StdRng::seed_from_u64(4);
         let (m, k, n) = (13, 21, 17);
         let a = random_matrix(&mut rng, m * k);
         let b = random_matrix(&mut rng, k * n);
         let mut once = vec![0.0; m * n];
-        gemm(&a, &b, &mut once, m, k, n);
+        gemm_f32(&a, &b, &mut once, &GemmSpec::new(m, k, n));
         let mut twice = vec![0.0; m * n];
-        gemm_acc(&a, &b, &mut twice, m, k, n);
-        gemm_acc(&a, &b, &mut twice, m, k, n);
+        gemm_f32(&a, &b, &mut twice, &accumulate(m, k, n));
+        gemm_f32(&a, &b, &mut twice, &accumulate(m, k, n));
         for (o, t) in once.iter().zip(twice.iter()) {
             assert!((2.0 * o - t).abs() < 1e-4);
         }
     }
 
     #[test]
-    fn gemm_overwrites_stale_output() {
+    fn overwrite_ignores_stale_output() {
         let a = vec![1.0f32; 4];
         let b = vec![1.0f32; 4];
         let mut out = vec![999.0f32; 4];
-        gemm(&a, &b, &mut out, 2, 2, 2);
+        gemm_f32(&a, &b, &mut out, &GemmSpec::new(2, 2, 2));
         assert_eq!(out, vec![2.0; 4]);
     }
 
@@ -2140,7 +1658,7 @@ mod tests {
         let a = vec![0.0f32, f32::NAN, 1.0, 2.0];
         let b = vec![1.0f32, 2.0, 3.0, 4.0];
         let mut out = vec![0.0f32; 4];
-        gemm(&a, &b, &mut out, 2, 2, 2);
+        gemm_f32(&a, &b, &mut out, &GemmSpec::new(2, 2, 2));
         assert!(
             out[0].is_nan() && out[1].is_nan(),
             "0*NaN must stay NaN: {out:?}"
@@ -2150,22 +1668,22 @@ mod tests {
         let a = vec![1.0f32, f32::INFINITY];
         let b = vec![1.0f32, 0.0];
         let mut out = vec![0.0f32; 1];
-        gemm(&a, &b, &mut out, 1, 2, 1);
+        gemm_f32(&a, &b, &mut out, &GemmSpec::new(1, 2, 1));
         assert!(out[0].is_nan(), "1*1 + inf*0 must be NaN: {out:?}");
     }
 
     #[test]
     fn zero_dimensions_are_safe() {
         let mut out = vec![5.0f32; 6];
-        gemm(&[], &[], &mut out, 0, 0, 0);
-        gemm(&[], &[], &mut out[..0], 0, 4, 0);
+        gemm_f32(&[], &[], &mut out, &GemmSpec::new(0, 0, 0));
+        gemm_f32(&[], &[], &mut out[..0], &GemmSpec::new(0, 4, 0));
         // k == 0 must yield a zero product
         let mut out = vec![5.0f32; 6];
-        gemm(&[], &[], &mut out, 2, 0, 3);
+        gemm_f32(&[], &[], &mut out, &GemmSpec::new(2, 0, 3));
         assert_eq!(out, vec![0.0; 6]);
     }
 
-    /// Scalar reference for [`gemm_epilogue`]: naive matmul, then the
+    /// Scalar reference for the epilogue store: naive matmul, then the
     /// per-row affine + activation applied element-wise.
     fn epilogue_reference(
         a: &[f32],
@@ -2219,7 +1737,7 @@ mod tests {
                 let expect = epilogue_reference(&a, &b, m, k, n, &ep);
                 // stale output contents must be ignored (overwrite semantics)
                 let mut got = vec![777.0; m * n];
-                gemm_epilogue(&a, &b, &mut got, m, k, n, &ep);
+                gemm_f32(&a, &b, &mut got, &with_epilogue(m, k, n, &ep));
                 assert_close(&expect, &got, 1e-4, &format!("{m}x{k}x{n} {act:?}"));
             }
         }
@@ -2238,10 +1756,11 @@ mod tests {
                 shift: &shift,
                 act: EpilogueAct::LeakyRelu(0.2),
             };
+            let spec = with_epilogue(m, k, n, &ep);
             let mut serial = vec![0.0; m * n];
-            gemm_impl(a.as_slice(), &b, &mut serial, m, k, n, false, Some(ep));
+            gemm_run(a.as_slice(), &b, &mut serial, &spec, false);
             let mut parallel = vec![0.0; m * n];
-            gemm_impl(a.as_slice(), &b, &mut parallel, m, k, n, true, Some(ep));
+            gemm_run(a.as_slice(), &b, &mut parallel, &spec, true);
             assert_eq!(
                 serial, parallel,
                 "{m}x{k}x{n} epilogue parallel/serial divergence"
@@ -2278,7 +1797,7 @@ mod tests {
             };
             let expect = epilogue_reference(&a, &b, m, k, n, &ep);
             let mut got = vec![0.0; m * n];
-            gemm_epilogue(&a, &b, &mut got, m, k, n, &ep);
+            gemm_f32(&a, &b, &mut got, &with_epilogue(m, k, n, &ep));
             for (i, (e, g)) in expect.iter().zip(got.iter()).enumerate() {
                 assert_eq!(
                     e.is_nan(),
@@ -2301,20 +1820,13 @@ mod tests {
     fn epilogue_with_zero_k_applies_shift_and_activation() {
         let scale = vec![2.0f32, 2.0];
         let shift = vec![-1.0f32, 3.0];
+        let ep = Epilogue {
+            scale: &scale,
+            shift: &shift,
+            act: EpilogueAct::Relu,
+        };
         let mut out = vec![9.0f32; 6];
-        gemm_epilogue(
-            &[],
-            &[],
-            &mut out,
-            2,
-            0,
-            3,
-            &Epilogue {
-                scale: &scale,
-                shift: &shift,
-                act: EpilogueAct::Relu,
-            },
-        );
+        gemm_f32(&[], &[], &mut out, &with_epilogue(2, 0, 3, &ep));
         assert_eq!(out, vec![0.0, 0.0, 0.0, 3.0, 3.0, 3.0]);
     }
 
@@ -2331,58 +1843,51 @@ mod tests {
         ] {
             let scale = vec![input; 4];
             let shift = vec![0.0f32; 4];
+            let ep = Epilogue {
+                scale: &scale,
+                shift: &shift,
+                act,
+            };
             let mut out = vec![0.0f32; 4];
-            gemm_epilogue(
-                &a,
-                &b,
-                &mut out,
-                4,
-                1,
-                1,
-                &Epilogue {
-                    scale: &scale,
-                    shift: &shift,
-                    act,
-                },
-            );
+            gemm_f32(&a, &b, &mut out, &with_epilogue(4, 1, 1, &ep));
             for v in out {
                 assert_eq!(v, expect, "{act:?}({input})");
             }
         }
     }
 
-    /// Per-sample serial reference for the batched entry points.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_reference(
-        a: &[f32],
-        bs: &[f32],
-        outs: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        batch: usize,
-        stride_a: usize,
-        stride_b: usize,
-        stride_out: usize,
-        ep: Option<&Epilogue<'_>>,
-    ) {
-        for s in 0..batch {
-            let a_s = &a[s * stride_a..s * stride_a + m * k];
-            let b_s = &bs[s * stride_b..s * stride_b + k * n];
-            let out_s = &mut outs[s * stride_out..s * stride_out + m * n];
-            match ep {
-                Some(e) => gemm_epilogue(a_s, b_s, out_s, m, k, n, e),
-                None => gemm(a_s, b_s, out_s, m, k, n),
-            }
+    /// Per-item reference for batched specs: item `t` multiplies
+    /// `A_{t % groups}` with its own `B` panel through a single-product
+    /// [`gemm`], epilogue rows offset by the item's group.
+    fn per_item_reference(a: &[f32], bs: &[f32], outs: &mut [f32], spec: &GemmSpec<'_>) {
+        let GemmSpec { m, k, n, .. } = *spec;
+        for t in 0..spec.items {
+            let g = t % spec.groups;
+            let a_g = &a[g * spec.stride_a..g * spec.stride_a + m * k];
+            let b_t = &bs[t * spec.stride_b..t * spec.stride_b + k * n];
+            let out_t = &mut outs[t * spec.stride_out..t * spec.stride_out + m * n];
+            let store = match spec.store {
+                Store::Epilogue(e) => Store::Epilogue(e.offset_rows(g * m)),
+                other => other,
+            };
+            gemm_f32(
+                a_g,
+                b_t,
+                out_t,
+                &GemmSpec {
+                    store,
+                    ..GemmSpec::new(m, k, n)
+                },
+            );
         }
     }
 
     #[test]
-    fn batched_matches_serial_gemm_across_ragged_shapes() {
+    fn batched_matches_per_item_gemm_across_ragged_shapes() {
         let mut rng = StdRng::seed_from_u64(50);
-        // (m, k, n, batch): n < NR edge tiles, batch == 1, full strips,
+        // (m, k, n, items): n < NR edge tiles, items == 1, full strips,
         // strip-spanning boundaries, multi-panel k, ragged m tiles
-        for (m, k, n, batch) in [
+        for (m, k, n, items) in [
             (1usize, 1usize, 1usize, 1usize),
             (8, 16, 16, 5),
             (24, 64, 16, 8),
@@ -2392,60 +1897,36 @@ mod tests {
             (MR + 3, 19, NR + 5, 3),
             (3, 5, 2, 1),
         ] {
-            for shared_a in [true, false] {
-                let stride_a = if shared_a { 0 } else { m * k };
-                let a_panels = if shared_a { 1 } else { batch };
-                let a = random_matrix(&mut rng, a_panels * m * k);
-                let bs = random_matrix(&mut rng, batch * k * n);
-                let mut expect = vec![0.0; batch * m * n];
-                batch_reference(
-                    &a,
-                    &bs,
-                    &mut expect,
-                    m,
-                    k,
-                    n,
-                    batch,
-                    stride_a,
-                    k * n,
-                    m * n,
-                    None,
-                );
+            // one shared A panel, then one A panel per item
+            for groups in [1, items] {
+                let a = random_matrix(&mut rng, groups * m * k);
+                let bs = random_matrix(&mut rng, items * k * n);
+                let spec = batch(m, k, n, items, groups, Store::Overwrite);
+                let mut expect = vec![0.0; items * m * n];
+                per_item_reference(&a, &bs, &mut expect, &spec);
                 // stale output contents must be ignored (overwrite semantics)
-                let mut got = vec![777.0; batch * m * n];
-                gemm_batch_strided(
-                    &a,
-                    &bs,
-                    &mut got,
-                    m,
-                    k,
-                    n,
-                    batch,
-                    stride_a,
-                    k * n,
-                    m * n,
-                    None,
-                );
+                let mut got = vec![777.0; items * m * n];
+                gemm_f32(&a, &bs, &mut got, &spec);
                 assert_close(
                     &expect,
                     &got,
                     1e-5,
-                    &format!("{m}x{k}x{n} b{batch} shared_a={shared_a}"),
+                    &format!("{m}x{k}x{n} items{items} groups{groups}"),
                 );
             }
         }
     }
 
     #[test]
-    fn batched_epilogue_matches_per_sample_gemm_epilogue() {
+    fn batched_epilogue_matches_per_item_epilogue() {
         let mut rng = StdRng::seed_from_u64(51);
-        for (m, k, n, batch) in [
+        for (m, k, n, items) in [
             (8usize, 16usize, 16usize, 6usize),
             (13, 40, 9, 7),
             (64, 32, 50, 3),
         ] {
             let a = random_matrix(&mut rng, m * k);
-            let bs = random_matrix(&mut rng, batch * k * n);
+            let bs = random_matrix(&mut rng, items * k * n);
             let scale = random_matrix(&mut rng, m);
             let shift = random_matrix(&mut rng, m);
             for act in [
@@ -2459,27 +1940,16 @@ mod tests {
                     shift: &shift,
                     act,
                 };
-                let mut expect = vec![0.0; batch * m * n];
-                batch_reference(
-                    &a,
-                    &bs,
-                    &mut expect,
-                    m,
-                    k,
-                    n,
-                    batch,
-                    0,
-                    k * n,
-                    m * n,
-                    Some(&ep),
-                );
-                let mut got = vec![0.0; batch * m * n];
-                gemm_batch_strided(&a, &bs, &mut got, m, k, n, batch, 0, k * n, m * n, Some(ep));
+                let spec = batch(m, k, n, items, 1, Store::Epilogue(ep));
+                let mut expect = vec![0.0; items * m * n];
+                per_item_reference(&a, &bs, &mut expect, &spec);
+                let mut got = vec![0.0; items * m * n];
+                gemm_f32(&a, &bs, &mut got, &spec);
                 assert_close(
                     &expect,
                     &got,
                     1e-4,
-                    &format!("{m}x{k}x{n} b{batch} {act:?}"),
+                    &format!("{m}x{k}x{n} items{items} {act:?}"),
                 );
             }
         }
@@ -2490,28 +1960,18 @@ mod tests {
         // stride_out > m*n: the elements between output panels must survive,
         // and B panels may sit stride_b > k*n apart (the grouped-conv layout)
         let mut rng = StdRng::seed_from_u64(52);
-        let (m, k, n, batch) = (5usize, 9usize, 11usize, 4usize);
-        let (stride_b, stride_out) = (k * n + 13, m * n + 17);
+        let (m, k, n, items) = (5usize, 9usize, 11usize, 4usize);
+        let spec = GemmSpec {
+            stride_b: k * n + 13,
+            stride_out: m * n + 17,
+            ..batch(m, k, n, items, 1, Store::Overwrite)
+        };
         let a = random_matrix(&mut rng, m * k);
-        let bs = random_matrix(&mut rng, (batch - 1) * stride_b + k * n);
-        let mut expect = vec![-3.5f32; (batch - 1) * stride_out + m * n];
+        let bs = random_matrix(&mut rng, (items - 1) * spec.stride_b + k * n);
+        let mut expect = vec![-3.5f32; (items - 1) * spec.stride_out + m * n];
         let mut got = expect.clone();
-        batch_reference(
-            &a,
-            &bs,
-            &mut expect,
-            m,
-            k,
-            n,
-            batch,
-            0,
-            stride_b,
-            stride_out,
-            None,
-        );
-        gemm_batch_strided(
-            &a, &bs, &mut got, m, k, n, batch, 0, stride_b, stride_out, None,
-        );
+        per_item_reference(&a, &bs, &mut expect, &spec);
+        gemm_f32(&a, &bs, &mut got, &spec);
         for (i, (e, g)) in expect.iter().zip(got.iter()).enumerate() {
             assert!(
                 (e - g).abs() <= 1e-5 * e.abs().max(1.0),
@@ -2519,23 +1979,34 @@ mod tests {
             );
         }
         // the gap elements specifically must still hold the sentinel
-        for s in 0..batch {
-            for gap in (s * stride_out + m * n)..((s + 1) * stride_out).min(got.len()) {
+        for t in 0..items {
+            let gaps = (t * spec.stride_out + m * n)..((t + 1) * spec.stride_out).min(got.len());
+            for gap in gaps {
                 assert_eq!(got[gap], -3.5, "gap element {gap} clobbered");
             }
         }
     }
 
     #[test]
-    fn batched_acc_accumulates_on_prior_contents() {
+    fn batched_accumulate_adds_to_prior_contents() {
         let mut rng = StdRng::seed_from_u64(53);
-        let (m, k, n, batch) = (6usize, 12usize, 10usize, 5usize);
+        let (m, k, n, items) = (6usize, 12usize, 10usize, 5usize);
         let a = random_matrix(&mut rng, m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        let mut once = vec![0.0; batch * m * n];
-        gemm_batch_strided(&a, &bs, &mut once, m, k, n, batch, 0, k * n, m * n, None);
-        let mut acc = vec![1.0f32; batch * m * n];
-        gemm_batch_acc_strided(&a, &bs, &mut acc, m, k, n, batch, 0, k * n, m * n);
+        let bs = random_matrix(&mut rng, items * k * n);
+        let mut once = vec![0.0; items * m * n];
+        gemm_f32(
+            &a,
+            &bs,
+            &mut once,
+            &batch(m, k, n, items, 1, Store::Overwrite),
+        );
+        let mut acc = vec![1.0f32; items * m * n];
+        gemm_f32(
+            &a,
+            &bs,
+            &mut acc,
+            &batch(m, k, n, items, 1, Store::Accumulate),
+        );
         for (o, t) in once.iter().zip(acc.iter()) {
             assert!((o + 1.0 - t).abs() < 1e-4, "{t} should be {o} + 1");
         }
@@ -2544,48 +2015,21 @@ mod tests {
     #[test]
     fn batched_parallel_path_matches_serial_path() {
         let mut rng = StdRng::seed_from_u64(54);
-        for (m, k, n, batch, stride_a) in [
-            (16usize, 64usize, 16usize, 13usize, 0usize),
-            (8, 48, 5, 32, 8 * 48),
+        // one shared A panel, then one A panel per item
+        for (m, k, n, items, groups) in [
+            (16usize, 64usize, 16usize, 13usize, 1usize),
+            (8, 48, 5, 32, 32),
         ] {
-            let a_panels = if stride_a == 0 { 1 } else { batch };
-            let a = random_matrix(&mut rng, a_panels * m * k);
-            let bs = random_matrix(&mut rng, batch * k * n);
-            let mut serial = vec![0.0; batch * m * n];
-            gemm_batch_impl(
-                &a,
-                &bs,
-                &mut serial,
-                m,
-                k,
-                n,
-                batch,
-                stride_a,
-                k * n,
-                m * n,
-                false,
-                None,
-                false,
-            );
-            let mut parallel = vec![0.0; batch * m * n];
-            gemm_batch_impl(
-                &a,
-                &bs,
-                &mut parallel,
-                m,
-                k,
-                n,
-                batch,
-                stride_a,
-                k * n,
-                m * n,
-                false,
-                None,
-                true,
-            );
+            let a = random_matrix(&mut rng, groups * m * k);
+            let bs = random_matrix(&mut rng, items * k * n);
+            let spec = batch(m, k, n, items, groups, Store::Overwrite);
+            let mut serial = vec![0.0; items * m * n];
+            gemm_run(a.as_slice(), &bs, &mut serial, &spec, false);
+            let mut parallel = vec![0.0; items * m * n];
+            gemm_run(a.as_slice(), &bs, &mut parallel, &spec, true);
             assert_eq!(
                 serial, parallel,
-                "{m}x{k}x{n} b{batch} batched parallel/serial divergence"
+                "{m}x{k}x{n} items{items} groups{groups} parallel/serial divergence"
             );
         }
     }
@@ -2596,13 +2040,14 @@ mod tests {
         // even though the n-blocked strips pack samples side by side into
         // one register tile
         let mut rng = StdRng::seed_from_u64(55);
-        let (m, k, n, batch) = (MR, 10usize, 6usize, 4usize);
+        let (m, k, n, items) = (MR, 10usize, 6usize, 4usize);
+        let spec = batch(m, k, n, items, 1, Store::Overwrite);
         let a = random_matrix(&mut rng, m * k);
-        let mut bs = random_matrix(&mut rng, batch * k * n);
+        let mut bs = random_matrix(&mut rng, items * k * n);
         bs[k * n + 3] = f32::NAN; // sample 1, row 0, col 3
-        let mut out = vec![0.0; batch * m * n];
-        gemm_batch_strided(&a, &bs, &mut out, m, k, n, batch, 0, k * n, m * n, None);
-        for s in 0..batch {
+        let mut out = vec![0.0; items * m * n];
+        gemm_f32(&a, &bs, &mut out, &spec);
+        for s in 0..items {
             let panel = &out[s * m * n..(s + 1) * m * n];
             if s == 1 {
                 assert!(
@@ -2616,25 +2061,13 @@ mod tests {
                 );
             }
         }
-        // ...and a NaN in the shared A poisons every sample, like gemm
+        // ...and a NaN in the shared A poisons every sample
         let mut a_nan = a.clone();
         a_nan[2 * k] = f32::NAN; // row 2
-        let bs_clean = random_matrix(&mut rng, batch * k * n);
-        let mut out = vec![0.0; batch * m * n];
-        gemm_batch_strided(
-            &a_nan,
-            &bs_clean,
-            &mut out,
-            m,
-            k,
-            n,
-            batch,
-            0,
-            k * n,
-            m * n,
-            None,
-        );
-        for s in 0..batch {
+        let bs_clean = random_matrix(&mut rng, items * k * n);
+        let mut out = vec![0.0; items * m * n];
+        gemm_f32(&a_nan, &bs_clean, &mut out, &spec);
+        for s in 0..items {
             let row2 = &out[s * m * n + 2 * n..s * m * n + 3 * n];
             assert!(
                 row2.iter().all(|v| v.is_nan()),
@@ -2647,75 +2080,37 @@ mod tests {
     fn batched_zero_dimensions_are_safe() {
         let b = vec![1.0f32; 12];
         let mut out = vec![5.0f32; 12];
-        // m == 0 stores nothing; batch == 0 is a no-op
-        gemm_batch_strided(&[], &b, &mut out, 0, 3, 2, 2, 0, 6, 0, None);
-        gemm_batch_strided(&[], &[], &mut out[..0], 2, 3, 2, 0, 0, 6, 4, None);
+        // m == 0 stores nothing; items == 0 is a no-op
+        gemm_f32(&[], &b, &mut out, &batch(0, 3, 2, 2, 1, Store::Overwrite));
+        gemm_f32(
+            &[],
+            &[],
+            &mut out[..0],
+            &batch(2, 3, 2, 0, 1, Store::Overwrite),
+        );
         assert_eq!(out, vec![5.0; 12]);
         // k == 0 overwrites with zeros (and still applies an epilogue)
         let mut out = vec![5.0f32; 12];
-        gemm_batch_strided(&[], &[], &mut out, 2, 0, 3, 2, 0, 0, 6, None);
+        gemm_f32(&[], &[], &mut out, &batch(2, 0, 3, 2, 1, Store::Overwrite));
         assert_eq!(out, vec![0.0; 12]);
         let scale = vec![1.0f32; 2];
         let shift = vec![2.0f32, -4.0];
+        let ep = Epilogue {
+            scale: &scale,
+            shift: &shift,
+            act: EpilogueAct::Relu,
+        };
         let mut out = vec![5.0f32; 12];
-        gemm_batch_strided(
+        gemm_f32(
             &[],
             &[],
             &mut out,
-            2,
-            0,
-            3,
-            2,
-            0,
-            0,
-            6,
-            Some(Epilogue {
-                scale: &scale,
-                shift: &shift,
-                act: EpilogueAct::Relu,
-            }),
+            &batch(2, 0, 3, 2, 1, Store::Epilogue(ep)),
         );
         assert_eq!(
             out,
             vec![2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
         );
-    }
-
-    /// Per-item reference for the cyclic entry points: item `t` multiplies
-    /// `A_{t % groups}` with its own B panel via the plain [`gemm`] /
-    /// [`gemm_epilogue`], epilogue rows offset by the item's group.
-    #[allow(clippy::too_many_arguments)]
-    fn cyclic_reference(
-        a: &[f32],
-        bs: &[f32],
-        outs: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        batch: usize,
-        groups: usize,
-        stride_a: usize,
-        stride_b: usize,
-        stride_out: usize,
-        ep: Option<&Epilogue<'_>>,
-    ) {
-        for t in 0..batch {
-            let g = t % groups;
-            let a_g = &a[g * stride_a..g * stride_a + m * k];
-            let b_t = &bs[t * stride_b..t * stride_b + k * n];
-            let out_t = &mut outs[t * stride_out..t * stride_out + m * n];
-            match ep {
-                Some(e) => {
-                    let e_g = Epilogue {
-                        scale: &e.scale[g * m..],
-                        shift: &e.shift[g * m..],
-                        act: e.act,
-                    };
-                    gemm_epilogue(a_g, b_t, out_t, m, k, n, &e_g);
-                }
-                None => gemm(a_g, b_t, out_t, m, k, n),
-            }
-        }
     }
 
     #[test]
@@ -2730,46 +2125,20 @@ mod tests {
             (16, 32, 7, 1, 9),
             (MR + 1, 21, NR + 3, 2, 3),
         ] {
-            let batch = groups * per_group;
-            let stride_a = m * k;
-            let a = random_matrix(&mut rng, groups * stride_a);
-            let bs = random_matrix(&mut rng, batch * k * n);
-            let mut expect = vec![0.0; batch * m * n];
-            cyclic_reference(
-                &a,
-                &bs,
-                &mut expect,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                stride_a,
-                k * n,
-                m * n,
-                None,
-            );
+            let items = groups * per_group;
+            let spec = batch(m, k, n, items, groups, Store::Overwrite);
+            let a = random_matrix(&mut rng, groups * m * k);
+            let bs = random_matrix(&mut rng, items * k * n);
+            let mut expect = vec![0.0; items * m * n];
+            per_item_reference(&a, &bs, &mut expect, &spec);
             // stale output contents must be ignored (overwrite semantics)
-            let mut got = vec![777.0; batch * m * n];
-            gemm_batch_cyclic_strided(
-                &a,
-                &bs,
-                &mut got,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                stride_a,
-                k * n,
-                m * n,
-                None,
-            );
+            let mut got = vec![777.0; items * m * n];
+            gemm_f32(&a, &bs, &mut got, &spec);
             assert_close(
                 &expect,
                 &got,
                 1e-5,
-                &format!("{m}x{k}x{n} g{groups} b{batch}"),
+                &format!("{m}x{k}x{n} g{groups} items{items}"),
             );
         }
     }
@@ -2778,9 +2147,9 @@ mod tests {
     fn cyclic_epilogue_selects_per_group_rows() {
         let mut rng = StdRng::seed_from_u64(61);
         let (m, k, n, groups, per_group) = (5usize, 12usize, 6usize, 3usize, 4usize);
-        let batch = groups * per_group;
+        let items = groups * per_group;
         let a = random_matrix(&mut rng, groups * m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
+        let bs = random_matrix(&mut rng, items * k * n);
         // distinct scale/shift per group so a row-offset mistake shows up
         let scale = random_matrix(&mut rng, groups * m);
         let shift = random_matrix(&mut rng, groups * m);
@@ -2790,113 +2159,47 @@ mod tests {
                 shift: &shift,
                 act,
             };
-            let mut expect = vec![0.0; batch * m * n];
-            cyclic_reference(
-                &a,
-                &bs,
-                &mut expect,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                m * k,
-                k * n,
-                m * n,
-                Some(&ep),
-            );
-            let mut got = vec![0.0; batch * m * n];
-            gemm_batch_cyclic_strided(
-                &a,
-                &bs,
-                &mut got,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                m * k,
-                k * n,
-                m * n,
-                Some(ep),
-            );
+            let spec = batch(m, k, n, items, groups, Store::Epilogue(ep));
+            let mut expect = vec![0.0; items * m * n];
+            per_item_reference(&a, &bs, &mut expect, &spec);
+            let mut got = vec![0.0; items * m * n];
+            gemm_f32(&a, &bs, &mut got, &spec);
             assert_close(&expect, &got, 1e-4, &format!("{act:?}"));
         }
     }
 
     #[test]
-    fn cyclic_acc_accumulates_and_shared_a_works() {
+    fn cyclic_accumulate_with_shared_a_panel() {
         let mut rng = StdRng::seed_from_u64(62);
         let (m, k, n, groups, per_group) = (4usize, 8usize, 5usize, 2usize, 3usize);
-        let batch = groups * per_group;
+        let items = groups * per_group;
         // stride_a == 0: every group shares one A panel
+        let spec = GemmSpec {
+            stride_a: 0,
+            ..batch(m, k, n, items, groups, Store::Accumulate)
+        };
         let a = random_matrix(&mut rng, m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        let init = random_matrix(&mut rng, batch * m * n);
-        let mut expect = vec![0.0; batch * m * n];
-        cyclic_reference(
-            &a,
-            &bs,
-            &mut expect,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            0,
-            k * n,
-            m * n,
-            None,
-        );
-        for (e, i) in expect.iter_mut().zip(init.iter()) {
-            *e += i;
-        }
+        let bs = random_matrix(&mut rng, items * k * n);
+        let init = random_matrix(&mut rng, items * m * n);
+        let mut expect = init.clone();
+        per_item_reference(&a, &bs, &mut expect, &spec);
         let mut got = init;
-        gemm_batch_cyclic_acc_strided(&a, &bs, &mut got, m, k, n, batch, groups, 0, k * n, m * n);
-        assert_close(&expect, &got, 1e-5, "cyclic acc shared A");
+        gemm_f32(&a, &bs, &mut got, &spec);
+        assert_close(&expect, &got, 1e-5, "cyclic accumulate shared A");
     }
 
     #[test]
     fn cyclic_parallel_path_matches_serial_path() {
         let mut rng = StdRng::seed_from_u64(63);
         let (m, k, n, groups, per_group) = (8usize, 24usize, 9usize, 4usize, 16usize);
-        let batch = groups * per_group;
+        let items = groups * per_group;
+        let spec = batch(m, k, n, items, groups, Store::Overwrite);
         let a = random_matrix(&mut rng, groups * m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        let mut serial = vec![0.0; batch * m * n];
-        gemm_batch_cyclic_impl(
-            a.as_slice(),
-            &bs,
-            &mut serial,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-            false,
-            None,
-            false,
-        );
-        let mut parallel = vec![0.0; batch * m * n];
-        gemm_batch_cyclic_impl(
-            a.as_slice(),
-            &bs,
-            &mut parallel,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-            false,
-            None,
-            true,
-        );
+        let bs = random_matrix(&mut rng, items * k * n);
+        let mut serial = vec![0.0; items * m * n];
+        gemm_run(a.as_slice(), &bs, &mut serial, &spec, false);
+        let mut parallel = vec![0.0; items * m * n];
+        gemm_run(a.as_slice(), &bs, &mut parallel, &spec, true);
         assert_eq!(serial, parallel, "band split must not change results");
     }
 
@@ -2906,7 +2209,7 @@ mod tests {
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 20];
         let mut out = vec![0.0f32; 10];
-        gemm_batch_cyclic_strided(&a, &b, &mut out, 2, 2, 2, 5, 2, 4, 4, 4, None);
+        gemm_f32(&a, &b, &mut out, &batch(2, 2, 2, 5, 2, Store::Overwrite));
     }
 
     #[test]
@@ -2928,8 +2231,8 @@ mod tests {
     }
 
     // -----------------------------------------------------------------------
-    // Quantized (_q) entry points: convert-on-pack must equal quantize-then-
-    // f32-GEMM exactly (the widened values are identical bit patterns).
+    // Quantized A operands: convert-on-pack must equal quantize-then-f32-GEMM
+    // exactly (the widened values are identical bit patterns).
     // -----------------------------------------------------------------------
 
     fn quantize_f16(w: &[f32]) -> Vec<u16> {
@@ -2945,7 +2248,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_epilogue_q_f16_equals_widened_f32_gemm() {
+    fn f16_epilogue_equals_widened_f32_gemm() {
         let mut rng = StdRng::seed_from_u64(11);
         for (m, k, n) in [
             (5usize, 9usize, 7usize),
@@ -2964,16 +2267,17 @@ mod tests {
                 shift: &shift,
                 act: EpilogueAct::LeakyRelu(0.1),
             };
+            let spec = with_epilogue(m, k, n, &ep);
             let mut expect = vec![0.0; m * n];
-            gemm_epilogue(&wide, &b, &mut expect, m, k, n, &ep);
+            gemm_f32(&wide, &b, &mut expect, &spec);
             let mut got = vec![1.0; m * n];
-            gemm_epilogue_q(WeightMat::F16(&bits), &b, &mut got, m, k, n, &ep);
+            gemm(WeightMat::F16(&bits), &b, &mut got, &spec);
             assert_eq!(expect, got, "{m}x{k}x{n}");
         }
     }
 
     #[test]
-    fn gemm_acc_q_i8_equals_dequantized_f32_gemm() {
+    fn i8_accumulate_equals_dequantized_f32_gemm() {
         let mut rng = StdRng::seed_from_u64(12);
         let (m, k, n) = (23usize, 31usize, 19usize);
         let w = random_matrix(&mut rng, m * k);
@@ -2985,14 +2289,19 @@ mod tests {
             .collect();
         let deq: Vec<f32> = q.iter().map(|&v| v as f32 * scale).collect();
         let mut expect = vec![0.25; m * n];
-        gemm_acc(&deq, &b, &mut expect, m, k, n);
+        gemm_f32(&deq, &b, &mut expect, &accumulate(m, k, n));
         let mut got = vec![0.25; m * n];
-        gemm_acc_q(WeightMat::I8 { data: &q, scale }, &b, &mut got, m, k, n);
+        gemm(
+            WeightMat::I8 { data: &q, scale },
+            &b,
+            &mut got,
+            &accumulate(m, k, n),
+        );
         assert_eq!(expect, got);
     }
 
     #[test]
-    fn gemm_nt_q_f16_equals_widened_gemm_nt() {
+    fn gemm_nt_f16_equals_widened_gemm_nt() {
         let mut rng = StdRng::seed_from_u64(13);
         for (m, k, n) in [(4usize, 12usize, 10usize), (32, 64, 48), (1, 100, 257)] {
             let a = random_matrix(&mut rng, m * k);
@@ -3000,20 +2309,20 @@ mod tests {
             let bits = quantize_f16(&w);
             let wide = widen_f16(&bits);
             let mut expect = vec![0.0; m * n];
-            gemm_nt(&a, &wide, &mut expect, m, k, n);
+            gemm_nt(&a, WeightMat::F32(&wide), &mut expect, m, k, n);
             let mut got = vec![0.0; m * n];
-            gemm_nt_q(&a, WeightMat::F16(&bits), &mut got, m, k, n);
+            gemm_nt(&a, WeightMat::F16(&bits), &mut got, m, k, n);
             assert_eq!(expect, got, "{m}x{k}x{n}");
         }
     }
 
     #[test]
-    fn cyclic_q_f16_equals_widened_cyclic_both_paths() {
+    fn cyclic_f16_equals_widened_cyclic_both_paths() {
         let mut rng = StdRng::seed_from_u64(14);
         let (m, k, n, groups, samples) = (6usize, 18usize, 11usize, 3usize, 8usize);
-        let batch = groups * samples;
+        let items = groups * samples;
         let w = random_matrix(&mut rng, groups * m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
+        let bs = random_matrix(&mut rng, items * k * n);
         let bits = quantize_f16(&w);
         let wide = widen_f16(&bits);
         let scale: Vec<f32> = (0..groups * m).map(|i| 0.8 + 0.01 * i as f32).collect();
@@ -3023,72 +2332,20 @@ mod tests {
             shift: &shift,
             act: EpilogueAct::Relu,
         };
+        let spec = batch(m, k, n, items, groups, Store::Epilogue(ep));
         for parallel in [false, true] {
-            let mut expect = vec![0.0; batch * m * n];
-            gemm_batch_cyclic_impl(
-                &wide[..],
-                &bs,
-                &mut expect,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                m * k,
-                k * n,
-                m * n,
-                false,
-                Some(ep),
-                parallel,
-            );
-            let mut got = vec![0.5; batch * m * n];
-            with_elems!(WeightMat::F16(&bits), aa => gemm_batch_cyclic_impl(
-                aa,
-                &bs,
-                &mut got,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                m * k,
-                k * n,
-                m * n,
-                false,
-                Some(ep),
-                parallel,
-            ));
+            let mut expect = vec![0.0; items * m * n];
+            gemm_run(&wide[..], &bs, &mut expect, &spec, parallel);
+            let mut got = vec![0.5; items * m * n];
+            gemm_run(F16Elems(&bits), &bs, &mut got, &spec, parallel);
             assert_eq!(expect, got, "parallel={parallel}");
         }
-        // the public acc entry: bias-style initial value preserved
-        let mut expect = vec![0.3; batch * m * n];
-        gemm_batch_cyclic_acc_strided(
-            &wide,
-            &bs,
-            &mut expect,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-        );
-        let mut got = vec![0.3; batch * m * n];
-        gemm_batch_cyclic_acc_strided_q(
-            WeightMat::F16(&bits),
-            &bs,
-            &mut got,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-        );
+        // accumulate: a bias-style initial value is preserved
+        let spec = batch(m, k, n, items, groups, Store::Accumulate);
+        let mut expect = vec![0.3; items * m * n];
+        gemm_f32(&wide, &bs, &mut expect, &spec);
+        let mut got = vec![0.3; items * m * n];
+        gemm(WeightMat::F16(&bits), &bs, &mut got, &spec);
         assert_eq!(expect, got);
     }
 

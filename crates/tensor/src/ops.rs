@@ -30,7 +30,12 @@ impl Tensor {
     /// Panics on rank/shape mismatches or if `out` is shorter than `m * n`.
     pub fn matmul_into(&self, other: &Tensor, out: &mut [f32]) {
         let (m, k, n) = self.matmul_dims(other);
-        crate::gemm::gemm(self.as_slice(), other.as_slice(), out, m, k, n);
+        crate::gemm::gemm(
+            crate::WeightMat::F32(self.as_slice()),
+            other.as_slice(),
+            out,
+            &crate::GemmSpec::new(m, k, n),
+        );
     }
 
     /// `A * B^T` for `A: [m, k]`, `B: [n, k]`, without materialising the
@@ -48,7 +53,14 @@ impl Tensor {
         let (n, k2) = (other.dims()[0], other.dims()[1]);
         assert_eq!(k, k2, "matmul_nt inner dimensions must agree ({k} vs {k2})");
         let mut out = vec![0.0f32; m * n];
-        crate::gemm::gemm_nt(self.as_slice(), other.as_slice(), &mut out, m, k, n);
+        crate::gemm::gemm_nt(
+            self.as_slice(),
+            crate::WeightMat::F32(other.as_slice()),
+            &mut out,
+            m,
+            k,
+            n,
+        );
         Tensor::from_vec(out, &[m, n])
     }
 

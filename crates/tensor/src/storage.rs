@@ -196,7 +196,7 @@ impl QTensor {
     }
 
     /// The flat GEMM operand view over the quantized elements, ready to hand
-    /// to the `_q` GEMM entry points (`gemm_epilogue_q` and friends).
+    /// to [`crate::gemm()`] or [`crate::gemm_nt`].
     pub fn as_mat(&self) -> WeightMat<'_> {
         match self {
             QTensor::F16(t) => WeightMat::F16(t.storage().bits()),
