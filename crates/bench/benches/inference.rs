@@ -1,16 +1,16 @@
 //! End-to-end inference benchmarks for the fused engine (PR 2).
 //!
-//! Three rungs per model, so one run shows where the time goes:
+//! Every rung runs the one inference path (`Layer::infer_into`), so one run
+//! shows where the time goes:
 //!
-//! * `*_unfused`   — the layer-at-a-time path: conv, then a full-tensor
-//!   batch-norm pass, then a full-tensor activation pass, each allocating
-//!   its output;
-//! * `*_fused`     — after `Network::fuse_inference()`: conv+BN+activation
+//! * `*_unfused`    — `Network::infer` layer at a time: conv, then a
+//!   full-tensor batch-norm pass, then a full-tensor activation pass;
+//! * `*_fused`      — after `Network::fuse_inference()` (conv+BN+activation
 //!   collapsed into one GEMM with the scale/shift+activation epilogue in the
-//!   micro-kernel store loop;
-//! * `*_fused_plan` — the fused network driven through `Network::infer`'s
-//!   ping-pong arena, so steady-state forwards also stop allocating
-//!   activation tensors.
+//!   micro-kernel store loop), over a fresh `Workspace` per call, so every
+//!   buffer is allocated cold;
+//! * `*_fused_plan` — the fused network through `Network::infer`'s warm
+//!   workspace, which allocates nothing.
 //!
 //! `inference/eval_accuracy_*` measures the FL-facing quantity: whole-batch
 //! sharded evaluation over the `hs_parallel` pool (run with
@@ -20,11 +20,19 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hs_data::{Dataset, Labels};
 use hs_fl::evaluate_accuracy;
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
-use hs_nn::Network;
+use hs_nn::{Network, Workspace};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+
+/// One inference over a fresh workspace: every activation buffer and the
+/// conv scratch are allocated cold, as a one-off call pays them.
+fn infer_cold(net: &Network, x: &Tensor) -> usize {
+    let mut out = Tensor::zeros(&[0]);
+    net.infer_into(x, &mut out, &mut Workspace::new());
+    out.len()
+}
 
 /// Builds two weight-identical replicas of a model (same constructor seed):
 /// one untouched, one fused.
@@ -46,10 +54,10 @@ fn bench_end_to_end(c: &mut Criterion) {
     let (mut unfused, mut fused) = model_pair(ModelKind::SimpleCnn, cfg);
     let x = Tensor::rand_uniform(&[32, 3, 32, 32], 0.0, 1.0, &mut rng);
     c.bench_function("inference/simple_cnn_b32_unfused", |b| {
-        b.iter(|| unfused.forward(black_box(&x), false))
+        b.iter(|| unfused.infer(black_box(&x)).len())
     });
     c.bench_function("inference/simple_cnn_b32_fused", |b| {
-        b.iter(|| fused.forward(black_box(&x), false))
+        b.iter(|| infer_cold(&fused, black_box(&x)))
     });
     c.bench_function("inference/simple_cnn_b32_fused_plan", |b| {
         b.iter(|| fused.infer(black_box(&x)).len())
@@ -69,7 +77,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     let (mut unfused, mut fused) = model_pair(ModelKind::MobileNetV3Small, cfg);
     let x = Tensor::rand_uniform(&[8, 3, 16, 16], 0.0, 1.0, &mut rng);
     c.bench_function("inference/mobilenet_b8_unfused", |b| {
-        b.iter(|| unfused.forward(black_box(&x), false))
+        b.iter(|| unfused.infer(black_box(&x)).len())
     });
     c.bench_function("inference/mobilenet_b8_fused_plan", |b| {
         b.iter(|| fused.infer(black_box(&x)).len())
@@ -99,11 +107,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     c.bench_function("inference/mobilenet_b8_fused_plan_im2col", |b| {
         b.iter(|| fused_im2col.infer(black_box(&x)).len())
     });
-    // ...and without the forward plan: layer-at-a-time through the blocks'
-    // allocating forward, i.e. the closest same-run stand-in for the PR 2
-    // fused path (whose plan arena did not reach inside composite blocks)
+    // ...and over a cold workspace per call
     c.bench_function("inference/mobilenet_b8_fused_im2col", |b| {
-        b.iter(|| fused_im2col.forward(black_box(&x), false))
+        b.iter(|| infer_cold(&fused_im2col, black_box(&x)))
     });
     hs_nn::set_batched_gemm(true);
 }

@@ -3,11 +3,20 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
-use hs_nn::{Conv2d, ConvAlgo, CrossEntropyLoss, Layer, Target};
+use hs_nn::{Conv2d, ConvAlgo, CrossEntropyLoss, Layer, Target, Workspace};
 use hs_tensor::{gemm, GemmSpec, Tensor, WeightMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+/// Times `layer`'s inference over one warm workspace: the single inference
+/// path `Network::infer`, evaluation and serving run.
+fn bench_infer(c: &mut Criterion, name: &str, layer: &dyn Layer, x: &Tensor) {
+    let (mut ws, mut out) = (Workspace::new(), Tensor::zeros(&[0]));
+    c.bench_function(name, |bencher| {
+        bencher.iter(|| layer.infer_into(black_box(x), &mut out, &mut ws))
+    });
+}
 
 /// The kernel-layer speedup benches: each optimised hot path is paired with
 /// its `*_naive` seed-reference twin so a single run shows the ratio (the
@@ -32,34 +41,26 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // -- convolution: im2col+GEMM vs the seed per-row axpy loop ------------
-    let mut conv64 = Conv2d::new(64, 64, 3, 1, 1, 1, &mut rng);
+    let conv64 = Conv2d::new(64, 64, 3, 1, 1, 1, &mut rng);
     let x64 = Tensor::rand_uniform(&[2, 64, 64, 64], -1.0, 1.0, &mut rng);
-    c.bench_function("nn/conv3x3_64c_64px_b2_forward", |bencher| {
-        bencher.iter(|| conv64.forward(black_box(&x64), false))
-    });
+    bench_infer(c, "nn/conv3x3_64c_64px_b2_forward", &conv64, &x64);
     c.bench_function("nn/conv3x3_64c_64px_b2_forward_naive", |bencher| {
         bencher.iter(|| conv64.forward_reference(black_box(&x64)))
     });
 
-    let mut conv = Conv2d::new(32, 32, 3, 1, 1, 1, &mut rng);
+    let conv = Conv2d::new(32, 32, 3, 1, 1, 1, &mut rng);
     let xc = Tensor::rand_uniform(&[4, 32, 32, 32], -1.0, 1.0, &mut rng);
-    c.bench_function("nn/conv3x3_32c_32px_b4_forward", |bencher| {
-        bencher.iter(|| conv.forward(black_box(&xc), false))
-    });
+    bench_infer(c, "nn/conv3x3_32c_32px_b4_forward", &conv, &xc);
     c.bench_function("nn/conv3x3_32c_32px_b4_forward_naive", |bencher| {
         bencher.iter(|| conv.forward_reference(black_box(&xc)))
     });
 
-    let mut conv16 = Conv2d::new(16, 16, 3, 1, 1, 1, &mut rng);
+    let conv16 = Conv2d::new(16, 16, 3, 1, 1, 1, &mut rng);
     let x = Tensor::rand_uniform(&[1, 16, 16, 16], -1.0, 1.0, &mut rng);
-    c.bench_function("nn/conv3x3_16c_16px_forward", |bencher| {
-        bencher.iter(|| conv16.forward(black_box(&x), false))
-    });
+    bench_infer(c, "nn/conv3x3_16c_16px_forward", &conv16, &x);
 
-    let mut dw = Conv2d::depthwise(16, 3, 1, 1, &mut rng);
-    c.bench_function("nn/depthwise3x3_16c_16px_forward", |bencher| {
-        bencher.iter(|| dw.forward(black_box(&x), false))
-    });
+    let dw = Conv2d::depthwise(16, 3, 1, 1, &mut rng);
+    bench_infer(c, "nn/depthwise3x3_16c_16px_forward", &dw, &x);
 
     // -- conv backends: forced-backend pairs through the dispatch layer ----
     // MobileNet-scale depthwise: the direct spatial kernel vs the per-channel
@@ -67,22 +68,16 @@ fn bench_kernels(c: &mut Criterion) {
     let xdw = Tensor::rand_uniform(&[4, 64, 32, 32], -1.0, 1.0, &mut rng);
     let mut dw_direct = Conv2d::depthwise(64, 3, 1, 1, &mut rng);
     dw_direct.force_algo(Some(ConvAlgo::DirectDepthwise));
-    c.bench_function("nn/depthwise3x3_64c_32px_b4_direct", |bencher| {
-        bencher.iter(|| dw_direct.forward(black_box(&xdw), false))
-    });
+    bench_infer(c, "nn/depthwise3x3_64c_32px_b4_direct", &dw_direct, &xdw);
     let mut dw_im2col = Conv2d::depthwise(64, 3, 1, 1, &mut rng);
     dw_im2col.force_algo(Some(ConvAlgo::Im2colGemm));
-    c.bench_function("nn/depthwise3x3_64c_32px_b4_im2col", |bencher| {
-        bencher.iter(|| dw_im2col.forward(black_box(&xdw), false))
-    });
+    bench_infer(c, "nn/depthwise3x3_64c_32px_b4_im2col", &dw_im2col, &xdw);
 
     // dense 3×3 stride-1 forced onto im2col→GEMM
     let xwg = Tensor::rand_uniform(&[4, 32, 32, 32], -1.0, 1.0, &mut rng);
     let mut conv_ic = Conv2d::new(32, 32, 3, 1, 1, 1, &mut rng);
     conv_ic.force_algo(Some(ConvAlgo::Im2colGemm));
-    c.bench_function("nn/conv3x3_32c_32px_b4_im2col", |bencher| {
-        bencher.iter(|| conv_ic.forward(black_box(&xwg), false))
-    });
+    bench_infer(c, "nn/conv3x3_32c_32px_b4_im2col", &conv_ic, &xwg);
 
     // -- batched small-GEMM: the many-skinny-GEMMs regime ------------------
     // MobileNet's 1×1 convolutions at 4×4 spatial: one shared 64×64 weight
@@ -129,7 +124,7 @@ fn bench_kernels(c: &mut Criterion) {
     let xt = Tensor::rand_uniform(&[4, 16, 16, 16], -1.0, 1.0, &mut rng);
     c.bench_function("nn/conv3x3_16c_16px_b4_fwd_bwd", |bencher| {
         bencher.iter(|| {
-            let y = conv_t.forward(black_box(&xt), true);
+            let y = conv_t.forward(black_box(&xt));
             conv_t.backward(&Tensor::ones(y.dims()))
         })
     });

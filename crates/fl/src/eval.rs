@@ -1,93 +1,58 @@
 //! Evaluation helpers for trained (global) models.
 //!
 //! Whole evaluation batches are sharded across the shared [`hs_parallel`]
-//! pool against one `&Network` (layers expose a shared-state inference path
-//! via `Layer::forward_eval`), so per-device evaluation in the FL simulator
-//! scales with cores without cloning model weights. Models containing a
-//! custom layer without a shared-state path fall back to the serial
-//! exclusive-access loop.
+//! pool against one `&Network`: each pool task runs its batches through
+//! [`Network::infer_into`] over its own [`Workspace`], the same inference
+//! path serving and [`Network::infer`] run, so per-device evaluation in the
+//! FL simulator scales with cores without cloning model weights and a
+//! sample's logits do not depend on how the batches were sharded.
 
 use hs_data::{Dataset, Labels};
 use hs_metrics::{accuracy, average_precision, GroupAccuracy};
-use hs_nn::Network;
+use hs_nn::{Network, Workspace};
+use hs_tensor::Tensor;
 
 /// Maximum evaluation batch size (keeps peak memory bounded and is the
 /// sharding granule for the parallel path).
 const EVAL_BATCH: usize = 32;
 
-/// Stacks the samples `start..end` and runs the shared-state inference
-/// forward.
-fn batch_logits(
-    net: &Network,
-    data: &Dataset,
-    start: usize,
-    end: usize,
-) -> Option<hs_tensor::Tensor> {
-    let indices: Vec<usize> = (start..end).collect();
-    let (x, _) = data.batch(&indices);
-    net.forward_eval(&x)
-}
-
 /// Runs `consume(start, logits)` for every `EVAL_BATCH`-sized batch of
-/// `data`, sharding batches across the pool when the model supports
-/// shared-state eval (and the work is worth fanning out). `consume` writes
-/// into disjoint per-batch regions via interior indexing, so it must be
-/// callable concurrently.
-///
-/// Returns `false` if the model has no shared-state path — the caller must
-/// then run its serial fallback.
-fn for_each_batch_logits<F>(net: &Network, data: &Dataset, consume: F) -> bool
+/// `data`. The batches are split into at most `num_threads()` contiguous
+/// groups, one pool task each with its own workspace (batches within a
+/// group run serially), so the concurrency is bounded by the parallelism
+/// target — which makes `hs_parallel::set_num_threads` an effective knob
+/// for the eval-scaling bench — and spawn overhead stays O(threads), not
+/// O(batches). `consume` writes into disjoint per-batch regions, so it must
+/// be callable concurrently.
+fn for_each_batch_logits<F>(net: &Network, data: &Dataset, consume: F)
 where
-    F: Fn(usize, &hs_tensor::Tensor) + Sync,
+    F: Fn(usize, &Tensor) + Sync,
 {
     let n = data.len();
     let n_batches = n.div_ceil(EVAL_BATCH);
-    // probe the first batch serially: a model with an unsupported custom
-    // layer is detected before any parallel work is queued
-    let first_end = EVAL_BATCH.min(n);
-    match batch_logits(net, data, 0, first_end) {
-        None => return false,
-        Some(logits) => consume(0, &logits),
-    }
-    if n_batches <= 1 {
-        return true;
-    }
-    // the remaining batches are sharded into at most `num_threads()`
-    // contiguous groups (one pool task each, batches within a group run
-    // serially), so the concurrency is bounded by the parallelism target —
-    // which makes `hs_parallel::set_num_threads` an effective knob for the
-    // eval-scaling bench — and spawn overhead stays O(threads), not
-    // O(batches)
-    let rest = n_batches - 1;
-    let groups = hs_parallel::num_threads().min(rest);
+    let run_group = |batches: std::ops::Range<usize>| {
+        let (mut ws, mut logits) = (Workspace::new(), Tensor::zeros(&[0]));
+        for b in batches {
+            let start = b * EVAL_BATCH;
+            let indices: Vec<usize> = (start..(start + EVAL_BATCH).min(n)).collect();
+            let (x, _) = data.batch(&indices);
+            net.infer_into(&x, &mut logits, &mut ws);
+            consume(start, &logits);
+        }
+    };
+    let groups = hs_parallel::num_threads().min(n_batches);
     if groups > 1 && !hs_parallel::inside_pool() {
-        let per_group = rest.div_ceil(groups);
+        let per_group = n_batches.div_ceil(groups);
         hs_parallel::scope(|s| {
             for group in 0..groups {
-                let consume = &consume;
-                s.spawn(move || {
-                    let b_lo = 1 + group * per_group;
-                    let b_hi = (b_lo + per_group).min(n_batches);
-                    for b in b_lo..b_hi {
-                        let start = b * EVAL_BATCH;
-                        let end = (start + EVAL_BATCH).min(n);
-                        let logits = batch_logits(net, data, start, end)
-                            .expect("shared-state eval support cannot vary across batches");
-                        consume(start, &logits);
-                    }
-                });
+                let run_group = &run_group;
+                let lo = group * per_group;
+                s.spawn(move || run_group(lo..(lo + per_group).min(n_batches)));
             }
         });
     } else {
-        for b in 1..n_batches {
-            let start = b * EVAL_BATCH;
-            let end = (start + EVAL_BATCH).min(n);
-            let logits = batch_logits(net, data, start, end)
-                .expect("shared-state eval support cannot vary across batches");
-            consume(start, &logits);
-        }
+        run_group(0..n_batches);
     }
-    true
 }
 
 /// Classification accuracy of `net` on a dataset with class labels.
@@ -104,25 +69,12 @@ pub fn evaluate_accuracy(net: &mut Network, data: &Dataset) -> f32 {
         return 0.0;
     }
     let predictions = std::sync::Mutex::new(vec![0usize; data.len()]);
-    let sharded = for_each_batch_logits(net, data, |start, logits| {
+    for_each_batch_logits(net, data, |start, logits| {
         let preds = logits.argmax_rows();
         let mut guard = hs_parallel::sync::lock(&predictions);
         guard[start..start + preds.len()].copy_from_slice(&preds);
     });
-    if sharded {
-        return accuracy(&hs_parallel::sync::into_inner(predictions), &labels);
-    }
-    // serial fallback for models without a shared-state eval path
-    let mut predictions = Vec::with_capacity(data.len());
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, _) = data.batch(&indices);
-        predictions.extend(net.predict_classes(&x));
-        start = end;
-    }
-    accuracy(&predictions, &labels)
+    accuracy(&hs_parallel::sync::into_inner(predictions), &labels)
 }
 
 /// Mean averaged precision of `net` on a multi-label dataset (the paper's
@@ -139,36 +91,20 @@ pub fn evaluate_average_precision(net: &mut Network, data: &Dataset) -> f32 {
     if data.is_empty() {
         return 0.0;
     }
-    let per_sample_ap = |start: usize, logits: &hs_tensor::Tensor, aps: &mut [f32]| {
-        let (n, l) = (logits.dims()[0], logits.dims()[1]);
-        for i in 0..n {
-            let scores: Vec<f32> = (0..l).map(|j| logits.at(&[i, j])).collect();
-            let relevant: Vec<bool> = hot[start + i].iter().map(|&v| v > 0.5).collect();
-            aps[i] = average_precision(&scores, &relevant);
-        }
-    };
     let aps = std::sync::Mutex::new(vec![0.0f32; data.len()]);
-    let sharded = for_each_batch_logits(net, data, |start, logits| {
-        let mut local = vec![0.0f32; logits.dims()[0]];
-        per_sample_ap(start, logits, &mut local);
+    for_each_batch_logits(net, data, |start, logits| {
+        let (n, l) = (logits.dims()[0], logits.dims()[1]);
+        let local: Vec<f32> = (0..n)
+            .map(|i| {
+                let scores: Vec<f32> = (0..l).map(|j| logits.at(&[i, j])).collect();
+                let relevant: Vec<bool> = hot[start + i].iter().map(|&v| v > 0.5).collect();
+                average_precision(&scores, &relevant)
+            })
+            .collect();
         let mut guard = hs_parallel::sync::lock(&aps);
-        guard[start..start + local.len()].copy_from_slice(&local);
+        guard[start..start + n].copy_from_slice(&local);
     });
-    if sharded {
-        let aps = hs_parallel::sync::into_inner(aps);
-        return aps.iter().sum::<f32>() / aps.len() as f32;
-    }
-    // serial fallback
-    let mut aps = vec![0.0f32; data.len()];
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, _) = data.batch(&indices);
-        let logits = net.forward(&x, false);
-        per_sample_ap(start, &logits, &mut aps[start..end]);
-        start = end;
-    }
+    let aps = hs_parallel::sync::into_inner(aps);
     aps.iter().sum::<f32>() / aps.len() as f32
 }
 
@@ -192,30 +128,14 @@ pub fn evaluate_heart_rate(
         return (Vec::new(), actual);
     }
     let preds = std::sync::Mutex::new(vec![0.0f32; data.len()]);
-    let sharded = for_each_batch_logits(net, data, |start, out| {
+    for_each_batch_logits(net, data, |start, out| {
         let n = out.dims()[0];
         let mut guard = hs_parallel::sync::lock(&preds);
         for i in 0..n {
             guard[start + i] = out.at(&[i, 0]) * denormalize;
         }
     });
-    if sharded {
-        return (hs_parallel::sync::into_inner(preds), actual);
-    }
-    // serial fallback
-    let mut preds = Vec::with_capacity(data.len());
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, _) = data.batch(&indices);
-        let out = net.forward(&x, false);
-        for i in 0..(end - start) {
-            preds.push(out.at(&[i, 0]) * denormalize);
-        }
-        start = end;
-    }
-    (preds, actual)
+    (hs_parallel::sync::into_inner(preds), actual)
 }
 
 /// Per-device-type accuracy of a single model over a list of named test
@@ -234,8 +154,7 @@ pub fn per_device_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs_nn::{Layer, Linear, Network as Net, Sequential};
-    use hs_tensor::Tensor;
+    use hs_nn::{Linear, Sequential};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -296,34 +215,6 @@ mod tests {
             start = end;
         }
         assert_eq!(sharded, accuracy(&serial_preds, &labels));
-    }
-
-    #[test]
-    fn unsupported_layers_fall_back_to_serial() {
-        /// A layer without a shared-state eval path.
-        struct Opaque;
-        impl Layer for Opaque {
-            fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-                input.clone()
-            }
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                grad_out.clone()
-            }
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut net = Net::new(Sequential::new(vec![
-            Box::new(Opaque),
-            Box::new(Linear::new(2, 2, &mut rng)),
-        ]));
-        assert!(net.forward_eval(&Tensor::ones(&[1, 2])).is_none());
-        let n = 2 * EVAL_BATCH + 3;
-        let data = Dataset::new(vec![Tensor::ones(&[2]); n], Labels::Classes(vec![0; n]));
-        // must not panic, and must produce a valid accuracy via the fallback
-        let acc = evaluate_accuracy(&mut net, &data);
-        assert!((0.0..=1.0).contains(&acc));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! The mobile model zoo relies on the ReLU family plus the hard-swish /
 //! hard-sigmoid pair introduced by MobileNetV3.
 
-use crate::Layer;
+use crate::{Layer, Workspace};
 use hs_tensor::{EpilogueAct, Tensor};
 
 /// Writes `f` applied to every element of `input` into `out` (resized),
-/// the shared allocation-free `forward_into` body of the activations.
+/// the shared `infer_into` body of the activations.
 fn map_into<F: Fn(f32) -> f32>(input: &Tensor, out: &mut Tensor, f: F) {
     out.resize_to(input.dims());
     for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice().iter()) {
@@ -34,10 +34,8 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(|x| x.max(0.0))
     }
 
@@ -46,15 +44,8 @@ impl Layer for Relu {
         grad_out.zip(input, |g, x| if x > 0.0 { g } else { 0.0 })
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         map_into(input, out, |x| x.max(0.0));
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(|x| x.max(0.0)))
     }
 
     fn epilogue_act(&self) -> Option<EpilogueAct> {
@@ -86,10 +77,8 @@ impl Default for Relu6 {
 }
 
 impl Layer for Relu6 {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(|x| x.clamp(0.0, 6.0))
     }
 
@@ -98,15 +87,8 @@ impl Layer for Relu6 {
         grad_out.zip(input, |g, x| if x > 0.0 && x < 6.0 { g } else { 0.0 })
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         map_into(input, out, |x| x.clamp(0.0, 6.0));
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(|x| x.clamp(0.0, 6.0)))
     }
 
     fn epilogue_act(&self) -> Option<EpilogueAct> {
@@ -135,10 +117,8 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         let s = self.slope;
         input.map(|x| if x > 0.0 { x } else { s * x })
     }
@@ -149,17 +129,9 @@ impl Layer for LeakyRelu {
         grad_out.zip(input, |g, x| if x > 0.0 { g } else { s * g })
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         let s = self.slope;
         map_into(input, out, |x| if x > 0.0 { x } else { s * x });
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let s = self.slope;
-        Some(input.map(|x| if x > 0.0 { x } else { s * x }))
     }
 
     fn epilogue_act(&self) -> Option<EpilogueAct> {
@@ -202,11 +174,9 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let out = input.map(sigmoid_scalar);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
+        self.cached_output = Some(out.clone());
         out
     }
 
@@ -218,16 +188,8 @@ impl Layer for Sigmoid {
         grad_out.zip(out, |g, y| g * y * (1.0 - y))
     }
 
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(sigmoid_scalar))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, train);
-        } else {
-            map_into(input, out, sigmoid_scalar);
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        map_into(input, out, sigmoid_scalar);
     }
 
     fn name(&self) -> &'static str {
@@ -256,11 +218,9 @@ impl Default for Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let out = input.map(f32::tanh);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
+        self.cached_output = Some(out.clone());
         out
     }
 
@@ -272,16 +232,8 @@ impl Layer for Tanh {
         grad_out.zip(out, |g, y| g * (1.0 - y * y))
     }
 
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(f32::tanh))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, train);
-        } else {
-            map_into(input, out, f32::tanh);
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        map_into(input, out, f32::tanh);
     }
 
     fn name(&self) -> &'static str {
@@ -313,10 +265,8 @@ pub(crate) fn hard_sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for HardSigmoid {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(hard_sigmoid_scalar)
     }
 
@@ -334,14 +284,7 @@ impl Layer for HardSigmoid {
         )
     }
 
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(hard_sigmoid_scalar))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         map_into(input, out, hard_sigmoid_scalar);
     }
 
@@ -369,10 +312,8 @@ impl Default for HardSwish {
 }
 
 impl Layer for HardSwish {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(|x| x * hard_sigmoid_scalar(x))
     }
 
@@ -390,14 +331,7 @@ impl Layer for HardSwish {
         })
     }
 
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(|x| x * hard_sigmoid_scalar(x)))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         map_into(input, out, |x| x * hard_sigmoid_scalar(x));
     }
 
@@ -414,14 +348,10 @@ mod tests {
         // compares analytic d out/d in at a single point against finite differences
         let eps = 1e-3;
         let x = Tensor::from_vec(vec![x0], &[1]);
-        let _ = layer.forward(&x, true);
+        let _ = layer.forward(&x);
         let analytic = layer.backward(&Tensor::ones(&[1])).at(&[0]);
-        let plus = layer
-            .forward(&Tensor::from_vec(vec![x0 + eps], &[1]), false)
-            .at(&[0]);
-        let minus = layer
-            .forward(&Tensor::from_vec(vec![x0 - eps], &[1]), false)
-            .at(&[0]);
+        let plus = crate::infer(&*layer, &Tensor::from_vec(vec![x0 + eps], &[1])).at(&[0]);
+        let minus = crate::infer(&*layer, &Tensor::from_vec(vec![x0 - eps], &[1])).at(&[0]);
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic - numerical).abs() < 1e-2,
@@ -432,8 +362,8 @@ mod tests {
 
     #[test]
     fn relu_clips_negatives() {
-        let mut r = Relu::new();
-        let y = r.forward(&Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]), false);
+        let r = Relu::new();
+        let y = crate::infer(&r, &Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]));
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
     }
 
@@ -445,8 +375,8 @@ mod tests {
 
     #[test]
     fn relu6_clips_both_ends() {
-        let mut r = Relu6::new();
-        let y = r.forward(&Tensor::from_vec(vec![-1.0, 3.0, 9.0], &[3]), false);
+        let r = Relu6::new();
+        let y = crate::infer(&r, &Tensor::from_vec(vec![-1.0, 3.0, 9.0], &[3]));
         assert_eq!(y.as_slice(), &[0.0, 3.0, 6.0]);
     }
 
@@ -458,7 +388,8 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_and_eval_match_forward() {
+    fn infer_matches_training_forward() {
+        // activations behave the same in training and inference
         let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 0.5, 2.0, 8.0], &[6]);
         let mut layers: Vec<Box<dyn Layer>> = vec![
             Box::new(Relu::new()),
@@ -470,14 +401,9 @@ mod tests {
             Box::new(HardSwish::new()),
         ];
         for layer in layers.iter_mut() {
-            let expect = layer.forward(&x, false);
-            let mut out = Tensor::zeros(&[0]);
-            layer.forward_into(&x, &mut out, false);
-            assert_eq!(out.as_slice(), expect.as_slice(), "{}", layer.name());
-            let eval = layer
-                .forward_eval(&x)
-                .expect("activations support shared eval");
-            assert_eq!(eval.as_slice(), expect.as_slice(), "{}", layer.name());
+            let expect = layer.forward(&x);
+            let got = crate::infer(layer.as_ref(), &x);
+            assert_eq!(got.as_slice(), expect.as_slice(), "{}", layer.name());
         }
     }
 
@@ -495,8 +421,8 @@ mod tests {
 
     #[test]
     fn sigmoid_is_stable_at_extremes() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![-100.0, 100.0], &[2]), false);
+        let s = Sigmoid::new();
+        let y = crate::infer(&s, &Tensor::from_vec(vec![-100.0, 100.0], &[2]));
         assert!(y.at(&[0]) >= 0.0 && y.at(&[0]) < 1e-6);
         assert!(y.at(&[1]) > 1.0 - 1e-6 && y.at(&[1]) <= 1.0);
     }
@@ -521,8 +447,8 @@ mod tests {
 
     #[test]
     fn hard_swish_matches_definition() {
-        let mut h = HardSwish::new();
-        let y = h.forward(&Tensor::from_vec(vec![-4.0, 0.0, 4.0], &[3]), false);
+        let h = HardSwish::new();
+        let y = crate::infer(&h, &Tensor::from_vec(vec![-4.0, 0.0, 4.0], &[3]));
         assert_eq!(y.at(&[0]), 0.0);
         assert_eq!(y.at(&[1]), 0.0);
         assert_eq!(y.at(&[2]), 4.0);

@@ -4,7 +4,7 @@
 
 use crate::{
     BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Param, ParamStore,
-    Relu, Sequential,
+    Relu, Sequential, Workspace,
 };
 use hs_tensor::{DType, Tensor};
 use rand::rngs::StdRng;
@@ -16,8 +16,8 @@ fn slice_channels(x: &Tensor, from: usize, to: usize) -> Tensor {
     out
 }
 
-/// [`slice_channels`] into a caller-owned arena tensor (resized in place),
-/// the allocation-free body behind the planned-inference block paths.
+/// [`slice_channels`] into a caller-owned tensor (resized in place), the
+/// body behind the blocks' inference paths.
 fn slice_channels_into(x: &Tensor, from: usize, to: usize, out: &mut Tensor) {
     let dims = x.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -41,7 +41,7 @@ fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::concat(&[a, b], 1)
 }
 
-/// [`concat_channels`] into a caller-owned arena tensor (resized in place).
+/// [`concat_channels`] into a caller-owned tensor (resized in place).
 fn concat_channels_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (da, db) = (a.dims(), b.dims());
     assert_eq!(da[0], db[0], "concat batch mismatch");
@@ -74,8 +74,8 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let y = self.body.forward(input, train);
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let y = self.body.forward(input);
         assert_eq!(
             y.dims(),
             input.dims(),
@@ -88,14 +88,10 @@ impl Layer for Residual {
         self.body.backward(grad_out).add(grad_out)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
         // the body writes straight into `out`; the skip connection folds the
-        // input in afterwards, in place — no extra arena needed
-        self.body.forward_into(input, out, false);
+        // input in afterwards, in place
+        self.body.infer_into(input, out, ws);
         assert_eq!(
             out.dims(),
             input.dims(),
@@ -104,16 +100,6 @@ impl Layer for Residual {
         for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
             *o += x;
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let y = self.body.forward_eval(input)?;
-        assert_eq!(
-            y.dims(),
-            input.dims(),
-            "residual body must preserve the input shape"
-        );
-        Some(y.add(input))
     }
 
     fn fuse_inference(&mut self) {
@@ -145,6 +131,24 @@ impl Layer for Residual {
     }
 }
 
+/// `out[n, c] = x[n, c] * scale[n, c]` over every spatial position: the
+/// channel gating of [`SqueezeExcite`].
+fn scale_channels(x: &Tensor, scale: &Tensor, out: &mut Tensor) {
+    let dims = x.dims();
+    let hw = dims[2] * dims[3];
+    out.resize_to(dims);
+    for ((o, xs), &g) in out
+        .as_mut_slice()
+        .chunks_mut(hw)
+        .zip(x.as_slice().chunks(hw))
+        .zip(scale.as_slice())
+    {
+        for (ov, &xv) in o.iter_mut().zip(xs) {
+            *ov = xv * g;
+        }
+    }
+}
+
 /// Squeeze-and-excitation channel attention.
 ///
 /// Computes per-channel gates from globally pooled features and rescales the
@@ -153,8 +157,6 @@ pub struct SqueezeExcite {
     squeeze: Sequential,
     cached_input: Option<Tensor>,
     cached_scale: Option<Tensor>,
-    /// Arena for the per-channel gates on the planned-inference path.
-    scale_arena: Tensor,
 }
 
 impl SqueezeExcite {
@@ -173,34 +175,18 @@ impl SqueezeExcite {
             squeeze,
             cached_input: None,
             cached_scale: None,
-            scale_arena: Tensor::zeros(&[0]),
         }
     }
 }
 
 impl Layer for SqueezeExcite {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let scale = self.squeeze.forward(input, train); // [n, c]
-        let s = scale.as_slice();
-        let x = input.as_slice();
-        let mut out = vec![0.0f32; x.len()];
-        let hw = h * w;
-        for ni in 0..n {
-            for ci in 0..c {
-                let g = s[ni * c + ci];
-                let off = (ni * c + ci) * hw;
-                for i in 0..hw {
-                    out[off + i] = x[off + i] * g;
-                }
-            }
-        }
-        if train {
-            self.cached_input = Some(input.clone());
-            self.cached_scale = Some(scale);
-        }
-        Tensor::from_vec(out, dims)
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let scale = self.squeeze.forward(input); // [n, c]
+        let mut out = Tensor::zeros(&[0]);
+        scale_channels(input, &scale, &mut out);
+        self.cached_input = Some(input.clone());
+        self.cached_scale = Some(scale);
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -235,49 +221,11 @@ impl Layer for SqueezeExcite {
         Tensor::from_vec(grad_direct, dims).add(&grad_through_squeeze)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
-        let dims = input.dims();
-        let (n, c) = (dims[0], dims[1]);
-        let hw = dims[2] * dims[3];
-        self.squeeze
-            .forward_into(input, &mut self.scale_arena, false); // [n, c]
-        let s = self.scale_arena.as_slice();
-        out.resize_to(dims);
-        let o = out.as_mut_slice();
-        let x = input.as_slice();
-        for nc in 0..n * c {
-            let g = s[nc];
-            for (ov, &xv) in o[nc * hw..(nc + 1) * hw]
-                .iter_mut()
-                .zip(x[nc * hw..(nc + 1) * hw].iter())
-            {
-                *ov = xv * g;
-            }
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let scale = self.squeeze.forward_eval(input)?; // [n, c]
-        let s = scale.as_slice();
-        let x = input.as_slice();
-        let mut out = vec![0.0f32; x.len()];
-        let hw = h * w;
-        for ni in 0..n {
-            for ci in 0..c {
-                let g = s[ni * c + ci];
-                let off = (ni * c + ci) * hw;
-                for i in 0..hw {
-                    out[off + i] = x[off + i] * g;
-                }
-            }
-        }
-        Some(Tensor::from_vec(out, dims))
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let mut scale = ws.take();
+        self.squeeze.infer_into(input, &mut scale, ws); // [n, c]
+        scale_channels(input, &scale, out);
+        ws.give(scale);
     }
 
     fn fuse_inference(&mut self) {
@@ -385,8 +333,8 @@ impl InvertedResidual {
 }
 
 impl Layer for InvertedResidual {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let y = self.body.forward(input, train);
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let y = self.body.forward(input);
         if self.use_skip {
             y.add(input)
         } else {
@@ -403,14 +351,10 @@ impl Layer for InvertedResidual {
         }
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
         // the body writes straight into `out`; the skip connection folds the
         // input in afterwards, in place
-        self.body.forward_into(input, out, false);
+        self.body.infer_into(input, out, ws);
         if self.use_skip {
             assert_eq!(
                 out.dims(),
@@ -421,11 +365,6 @@ impl Layer for InvertedResidual {
                 *o += x;
             }
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let y = self.body.forward_eval(input)?;
-        Some(if self.use_skip { y.add(input) } else { y })
     }
 
     fn fuse_inference(&mut self) {
@@ -466,10 +405,6 @@ pub struct Fire {
     expand1_channels: usize,
     expand3_channels: usize,
     cached_squeezed: Option<Tensor>,
-    /// Arenas (squeezed, expand1, expand3) for the planned-inference path.
-    sq_arena: Tensor,
-    e1_arena: Tensor,
-    e3_arena: Tensor,
 }
 
 impl Fire {
@@ -516,9 +451,6 @@ impl Fire {
             expand1_channels,
             expand3_channels,
             cached_squeezed: None,
-            sq_arena: Tensor::zeros(&[0]),
-            e1_arena: Tensor::zeros(&[0]),
-            e3_arena: Tensor::zeros(&[0]),
         }
     }
 
@@ -529,13 +461,11 @@ impl Fire {
 }
 
 impl Layer for Fire {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let squeezed = self.squeeze.forward(input, train);
-        let e1 = self.expand1.forward(&squeezed, train);
-        let e3 = self.expand3.forward(&squeezed, train);
-        if train {
-            self.cached_squeezed = Some(squeezed);
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let squeezed = self.squeeze.forward(input);
+        let e1 = self.expand1.forward(&squeezed);
+        let e3 = self.expand3.forward(&squeezed);
+        self.cached_squeezed = Some(squeezed);
         concat_channels(&e1, &e3)
     }
 
@@ -551,24 +481,15 @@ impl Layer for Fire {
         self.squeeze.backward(&gs1.add(&gs3))
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
-        self.squeeze.forward_into(input, &mut self.sq_arena, false);
-        self.expand1
-            .forward_into(&self.sq_arena, &mut self.e1_arena, false);
-        self.expand3
-            .forward_into(&self.sq_arena, &mut self.e3_arena, false);
-        concat_channels_into(&self.e1_arena, &self.e3_arena, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let squeezed = self.squeeze.forward_eval(input)?;
-        let e1 = self.expand1.forward_eval(&squeezed)?;
-        let e3 = self.expand3.forward_eval(&squeezed)?;
-        Some(concat_channels(&e1, &e3))
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let (mut sq, mut e1, mut e3) = (ws.take(), ws.take(), ws.take());
+        self.squeeze.infer_into(input, &mut sq, ws);
+        self.expand1.infer_into(&sq, &mut e1, ws);
+        self.expand3.infer_into(&sq, &mut e3, ws);
+        concat_channels_into(&e1, &e3, out);
+        ws.give(e3);
+        ws.give(e1);
+        ws.give(sq);
     }
 
     fn fuse_inference(&mut self) {
@@ -638,8 +559,8 @@ impl ChannelShuffle {
         out
     }
 
-    /// [`ChannelShuffle::permute`] into a caller-owned arena tensor (resized
-    /// in place) — the allocation-free planned-inference body.
+    /// [`ChannelShuffle::permute`] into a caller-owned tensor (resized in
+    /// place) — the inference body.
     fn permute_into(&self, x: &Tensor, inverse: bool, out: &mut Tensor) {
         let dims = x.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -669,7 +590,7 @@ impl ChannelShuffle {
 }
 
 impl Layer for ChannelShuffle {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         self.permute(input, false)
     }
 
@@ -677,12 +598,8 @@ impl Layer for ChannelShuffle {
         self.permute(grad_out, true)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         self.permute_into(input, false, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(self.permute(input, false))
     }
 
     fn name(&self) -> &'static str {
@@ -703,12 +620,6 @@ pub struct ShuffleUnit {
     branch_proj: Option<Sequential>,
     shuffle: ChannelShuffle,
     cached_input: Option<Tensor>,
-    /// Arenas (branch inputs/outputs + pre-shuffle concat) for the
-    /// planned-inference path.
-    split_arena: Tensor,
-    y1_arena: Tensor,
-    y2_arena: Tensor,
-    cat_arena: Tensor,
 }
 
 impl ShuffleUnit {
@@ -753,10 +664,6 @@ impl ShuffleUnit {
             branch_proj,
             shuffle: ChannelShuffle::new(2),
             cached_input: None,
-            split_arena: Tensor::zeros(&[0]),
-            y1_arena: Tensor::zeros(&[0]),
-            y2_arena: Tensor::zeros(&[0]),
-            cat_arena: Tensor::zeros(&[0]),
         }
     }
 
@@ -768,25 +675,23 @@ impl ShuffleUnit {
 }
 
 impl Layer for ShuffleUnit {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         let out = if self.stride == 1 {
             let x1 = slice_channels(input, 0, self.half);
             let x2 = slice_channels(input, self.half, self.half * 2);
-            let y2 = self.branch_main.forward(&x2, train);
+            let y2 = self.branch_main.forward(&x2);
             concat_channels(&x1, &y2)
         } else {
             let y1 = self
                 .branch_proj
                 .as_mut()
                 .expect("stride-2 unit has a projection branch")
-                .forward(input, train);
-            let y2 = self.branch_main.forward(input, train);
+                .forward(input);
+            let y2 = self.branch_main.forward(input);
             concat_channels(&y1, &y2)
         };
-        self.shuffle.forward(&out, train)
+        self.shuffle.forward(&out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -811,45 +716,27 @@ impl Layer for ShuffleUnit {
         }
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let (mut y1, mut y2, mut cat) = (ws.take(), ws.take(), ws.take());
         if self.stride == 1 {
             // identity half into y1, processed half through the main branch
-            slice_channels_into(input, 0, self.half, &mut self.y1_arena);
-            slice_channels_into(input, self.half, self.half * 2, &mut self.split_arena);
-            self.branch_main
-                .forward_into(&self.split_arena, &mut self.y2_arena, false);
+            let mut x2 = ws.take();
+            slice_channels_into(input, 0, self.half, &mut y1);
+            slice_channels_into(input, self.half, self.half * 2, &mut x2);
+            self.branch_main.infer_into(&x2, &mut y2, ws);
+            ws.give(x2);
         } else {
             self.branch_proj
-                .as_mut()
-                .expect("stride-2 unit has a projection branch")
-                .forward_into(input, &mut self.y1_arena, false);
-            self.branch_main
-                .forward_into(input, &mut self.y2_arena, false);
-        }
-        concat_channels_into(&self.y1_arena, &self.y2_arena, &mut self.cat_arena);
-        self.shuffle.permute_into(&self.cat_arena, false, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let out = if self.stride == 1 {
-            let x1 = slice_channels(input, 0, self.half);
-            let x2 = slice_channels(input, self.half, self.half * 2);
-            let y2 = self.branch_main.forward_eval(&x2)?;
-            concat_channels(&x1, &y2)
-        } else {
-            let y1 = self
-                .branch_proj
                 .as_ref()
                 .expect("stride-2 unit has a projection branch")
-                .forward_eval(input)?;
-            let y2 = self.branch_main.forward_eval(input)?;
-            concat_channels(&y1, &y2)
-        };
-        self.shuffle.forward_eval(&out)
+                .infer_into(input, &mut y1, ws);
+            self.branch_main.infer_into(input, &mut y2, ws);
+        }
+        concat_channels_into(&y1, &y2, &mut cat);
+        self.shuffle.permute_into(&cat, false, out);
+        ws.give(cat);
+        ws.give(y2);
+        ws.give(y1);
     }
 
     fn fuse_inference(&mut self) {
@@ -927,7 +814,7 @@ mod tests {
         let body = Sequential::new(vec![Box::new(Conv2d::new(2, 2, 3, 1, 1, 1, &mut r))]);
         let mut res = Residual::new(body);
         let x = Tensor::rand_uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut r);
-        let y = res.forward(&x, true);
+        let y = res.forward(&x);
         assert_eq!(y.dims(), x.dims());
         let g = res.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());
@@ -938,7 +825,7 @@ mod tests {
         let mut r = rng();
         let mut se = SqueezeExcite::new(4, 4, &mut r);
         let x = Tensor::rand_uniform(&[2, 4, 5, 5], 0.0, 1.0, &mut r);
-        let y = se.forward(&x, true);
+        let y = se.forward(&x);
         assert_eq!(y.dims(), x.dims());
         // hard-sigmoid gates lie in [0, 1], so |y| <= |x| element-wise
         for (xi, yi) in x.as_slice().iter().zip(y.as_slice()) {
@@ -951,12 +838,12 @@ mod tests {
     #[test]
     fn inverted_residual_shapes_with_and_without_stride() {
         let mut r = rng();
-        let mut block = InvertedResidual::new(4, 8, 4, 3, 1, true, true, &mut r);
+        let block = InvertedResidual::new(4, 8, 4, 3, 1, true, true, &mut r);
         let x = Tensor::rand_uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r);
-        assert_eq!(block.forward(&x, false).dims(), &[1, 4, 8, 8]);
+        assert_eq!(crate::infer(&block, &x).dims(), &[1, 4, 8, 8]);
 
-        let mut down = InvertedResidual::new(4, 8, 6, 3, 2, false, false, &mut r);
-        assert_eq!(down.forward(&x, false).dims(), &[1, 6, 4, 4]);
+        let down = InvertedResidual::new(4, 8, 6, 3, 2, false, false, &mut r);
+        assert_eq!(crate::infer(&down, &x).dims(), &[1, 6, 4, 4]);
     }
 
     #[test]
@@ -964,7 +851,7 @@ mod tests {
         let mut r = rng();
         let mut block = InvertedResidual::new(4, 8, 4, 3, 1, true, true, &mut r);
         let x = Tensor::rand_uniform(&[2, 4, 6, 6], -1.0, 1.0, &mut r);
-        let y = block.forward(&x, true);
+        let y = block.forward(&x);
         let g = block.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());
         assert!(!block.params_mut().is_empty());
@@ -976,7 +863,7 @@ mod tests {
         let mut fire = Fire::new(4, 2, 3, 5, &mut r);
         assert_eq!(fire.out_channels(), 8);
         let x = Tensor::rand_uniform(&[2, 4, 6, 6], -1.0, 1.0, &mut r);
-        let y = fire.forward(&x, true);
+        let y = fire.forward(&x);
         assert_eq!(y.dims(), &[2, 8, 6, 6]);
         let g = fire.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());
@@ -986,7 +873,7 @@ mod tests {
     fn channel_shuffle_is_a_permutation() {
         let mut shuffle = ChannelShuffle::new(2);
         let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[1, 8, 1, 1]);
-        let y = shuffle.forward(&x, false);
+        let y = crate::infer(&shuffle, &x);
         let mut sorted: Vec<f32> = y.as_slice().to_vec();
         sorted.sort_by(f32::total_cmp);
         assert_eq!(sorted, x.as_slice());
@@ -1004,7 +891,7 @@ mod tests {
         let mut vals: Vec<f32> = (0..8).map(|v| v as f32).collect();
         vals[3] = f32::NAN;
         let x = Tensor::from_vec(vals, &[1, 8, 1, 1]);
-        let y = shuffle.forward(&x, false);
+        let y = crate::infer(&shuffle, &x);
         let mut sorted: Vec<f32> = y.as_slice().to_vec();
         sorted.sort_by(f32::total_cmp);
         assert!(
@@ -1027,7 +914,7 @@ mod tests {
         let mut r = rng();
         let mut unit = ShuffleUnit::new(8, 1, &mut r);
         let x = Tensor::rand_uniform(&[1, 8, 8, 8], -1.0, 1.0, &mut r);
-        let y = unit.forward(&x, true);
+        let y = unit.forward(&x);
         assert_eq!(y.dims(), &[1, 8, 8, 8]);
         let g = unit.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());
@@ -1039,7 +926,7 @@ mod tests {
         let mut unit = ShuffleUnit::new(8, 2, &mut r);
         assert_eq!(unit.out_channels(), 16);
         let x = Tensor::rand_uniform(&[1, 8, 8, 8], -1.0, 1.0, &mut r);
-        let y = unit.forward(&x, true);
+        let y = unit.forward(&x);
         assert_eq!(y.dims(), &[1, 16, 4, 4]);
         let g = unit.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());

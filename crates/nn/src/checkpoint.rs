@@ -850,8 +850,8 @@ mod tests {
             hs_tensor::Tensor::rand_uniform(&[4, 3], -1.0, 1.0, &mut rng)
         };
         assert_eq!(
-            b.forward(&xa, false).as_slice(),
-            expect.forward(&xa, false).as_slice(),
+            b.infer(&xa).as_slice(),
+            expect.infer(&xa).as_slice(),
             "quantize-on-load must equal load-then-quantize"
         );
     }
@@ -926,8 +926,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(33);
             hs_tensor::Tensor::rand_uniform(&[4, 3], -1.0, 1.0, &mut rng)
         };
-        let quantized_out = f16_net.forward(&x, false);
-        let widened_out = widened.forward(&x, false);
+        let quantized_out = f16_net.infer(&x).clone();
+        let widened_out = widened.infer(&x).clone();
         for (a, b) in quantized_out.as_slice().iter().zip(widened_out.as_slice()) {
             assert!(
                 (a - b).abs() <= 1e-5 * a.abs().max(1.0),

@@ -40,14 +40,14 @@
 //! the baseline for the `nn_kernels` bench. (Its `== 0.0` weight-skip
 //! branches were removed: they broke NaN/Inf propagation.)
 
-use crate::{Layer, Param, ParamStore};
+use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::gemm::NR;
 use hs_tensor::{
     depthwise_conv2d, gemm, he_normal, transpose_into, valid_out_range, DType, Epilogue,
     EpilogueAct, GemmSpec, QTensor, Store, Tensor, WeightMat,
 };
 use rand::rngs::StdRng;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 /// An inference execution backend for [`Conv2d`].
 ///
@@ -100,25 +100,6 @@ pub fn set_batched_gemm(enabled: bool) {
 
 fn batched_gemm_enabled() -> bool {
     BATCHED_GEMM.with(|cell| cell.get())
-}
-
-thread_local! {
-    /// Reusable im2col scratch for the shared-state (`&self`) inference
-    /// entry points (`forward_eval`), where no layer-held buffer can be
-    /// borrowed mutably. One per thread: sharded-eval pool workers each
-    /// warm their own and then stop allocating.
-    static EVAL_COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with the thread's eval im2col scratch. The buffer is taken out
-/// of the cell (not borrowed) for the duration of the call: a parallel GEMM
-/// inside may run unrelated queued pool tasks on this thread, and one of
-/// those could re-enter here.
-pub(crate) fn with_eval_col_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
-    let mut buf = EVAL_COL_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-    let result = f(&mut buf);
-    EVAL_COL_SCRATCH.with(|cell| *cell.borrow_mut() = buf);
-    result
 }
 
 /// Unfolds a single-sample channel block `[c, h, w]` into a column matrix
@@ -349,12 +330,6 @@ pub struct Conv2d {
     /// Flat im2col scratch: `[n][groups][wrow * ohw]`, resized per input
     /// geometry and reused across steps.
     col_cache: Vec<f32>,
-    /// Reusable im2col scratch for the exclusive (`&mut`) inference entry
-    /// points. Kept separate from `col_cache` so an eval pass between
-    /// `forward(train)` and `backward` never clobbers cached columns; taken
-    /// out of the struct for the duration of a call so the `&self` inference
-    /// body can borrow the layer freely.
-    eval_col: Vec<f32>,
     /// Per-layer backend override (tests/benches); `None` takes the
     /// geometry's default (see [`Conv2d::planned_algo`]).
     forced_algo: Option<ConvAlgo>,
@@ -407,7 +382,6 @@ impl Conv2d {
             groups,
             cached_input_dims: None,
             col_cache: Vec::new(),
-            eval_col: Vec::new(),
             forced_algo: None,
         }
     }
@@ -509,16 +483,16 @@ impl Conv2d {
     /// the caller folds it into `shift`. With `ep == None` this is the plain
     /// convolution with bias.
     ///
-    /// Reads only shared state (`&self`), so sharded evaluation can run many
-    /// batches against one layer concurrently. `col_scratch` is the
-    /// caller-owned im2col buffer reused across calls; the batch-parallel
-    /// path gives each sample band its own short-lived buffer instead.
+    /// Reads only shared state (`&self`), so many threads can run one layer
+    /// concurrently. `col_scratch` is the caller's im2col buffer (the
+    /// [`Workspace`] one), reused across calls; the batch-parallel path gives
+    /// each sample band its own short-lived buffer instead.
     ///
     /// # Panics
     ///
     /// Panics on input rank/channel mismatches, or if an epilogue's
     /// scale/shift have fewer entries than output channels.
-    pub(crate) fn infer_into(
+    pub(crate) fn conv_into(
         &self,
         input: &Tensor,
         ep: Option<(&[f32], &[f32], EpilogueAct)>,
@@ -903,16 +877,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train {
-            // inference: shared-state body + the layer-held reusable scratch
-            // (taken out of the struct so `infer_into` can borrow `&self`)
-            let mut col = std::mem::take(&mut self.eval_col);
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, None, &mut out, &mut col);
-            self.eval_col = col;
-            return out;
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         assert!(
             self.qweight.is_none(),
             "Conv2d: cannot train a quantized layer — call to_dtype(DType::F32) first"
@@ -934,9 +899,8 @@ impl Layer for Conv2d {
 
         self.cached_input_dims = Some(dims.to_vec());
         // one flat scratch for every sample's im2col, reused across
-        // steps; backward consumes it, so ONLY train-mode forwards may
-        // touch it (an eval pass between forward(train) and backward
-        // must not clobber the cached columns)
+        // steps; backward consumes it (inference never touches it: its
+        // columns live in the caller's workspace)
         self.col_cache.resize(n * groups * colsz, 0.0);
 
         let x = input.as_slice();
@@ -1015,20 +979,8 @@ impl Layer for Conv2d {
         Tensor::from_vec(out, &[n, out_channels, oh, ow])
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            let mut col = std::mem::take(&mut self.eval_col);
-            self.infer_into(input, None, out, &mut col);
-            self.eval_col = col;
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        with_eval_col_scratch(|col| self.infer_into(input, None, &mut out, col));
-        Some(out)
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        self.conv_into(input, None, out, &mut ws.col);
     }
 
     fn as_conv2d(&self) -> Option<&Conv2d> {
@@ -1047,7 +999,7 @@ impl Layer for Conv2d {
         let in_dims = self
             .cached_input_dims
             .clone()
-            .expect("backward called before forward(train=true)");
+            .expect("backward called before forward");
         let (n, c, h, w) = (in_dims[0], in_dims[1], in_dims[2], in_dims[3]);
         let (oh, ow) = self.out_size(h, w);
         let ohw = oh * ow;
@@ -1246,18 +1198,18 @@ mod tests {
     #[test]
     fn output_shape_same_padding() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut conv = Conv2d::new(3, 8, 3, 1, 1, 1, &mut rng);
+        let conv = Conv2d::new(3, 8, 3, 1, 1, 1, &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 8, 8], -1.0, 1.0, &mut rng);
-        let y = conv.forward(&x, false);
+        let y = crate::infer(&conv, &x);
         assert_eq!(y.dims(), &[2, 8, 8, 8]);
     }
 
     #[test]
     fn output_shape_stride_two() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut conv = Conv2d::new(4, 4, 3, 2, 1, 1, &mut rng);
+        let conv = Conv2d::new(4, 4, 3, 2, 1, 1, &mut rng);
         let x = Tensor::rand_uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut rng);
-        let y = conv.forward(&x, false);
+        let y = crate::infer(&conv, &x);
         assert_eq!(y.dims(), &[1, 4, 4, 4]);
     }
 
@@ -1267,7 +1219,7 @@ mod tests {
         let mut conv = Conv2d::depthwise(6, 3, 1, 1, &mut rng);
         assert_eq!(conv.params_mut()[0].value.dims(), &[6, 1, 3, 3]);
         let x = Tensor::rand_uniform(&[1, 6, 5, 5], -1.0, 1.0, &mut rng);
-        assert_eq!(conv.forward(&x, false).dims(), &[1, 6, 5, 5]);
+        assert_eq!(crate::infer(&conv, &x).dims(), &[1, 6, 5, 5]);
     }
 
     #[test]
@@ -1280,7 +1232,7 @@ mod tests {
         conv.params_mut()[0].value = w;
         conv.params_mut()[1].value = Tensor::zeros(&[1]);
         let x = Tensor::rand_uniform(&[1, 1, 6, 6], -1.0, 1.0, &mut rng);
-        let y = conv.forward(&x, false);
+        let y = crate::infer(&conv, &x);
         for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -1299,9 +1251,9 @@ mod tests {
             (2, 4, 5, 2, 2, 1, 11, 13),
             (4, 4, 1, 1, 0, 1, 6, 6), // pointwise
         ] {
-            let mut conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
+            let conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
             let x = Tensor::rand_uniform(&[2, cin, h, w], -1.0, 1.0, &mut rng);
-            let fast = conv.forward(&x, false);
+            let fast = crate::infer(&conv, &x);
             let reference = conv.forward_reference(&x);
             assert_eq!(fast.dims(), reference.dims());
             for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
@@ -1325,7 +1277,7 @@ mod tests {
         ] {
             let mut conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
             let x = Tensor::rand_uniform(&[3, cin, h, w], -1.0, 1.0, &mut rng);
-            let y = conv.forward(&x, true);
+            let y = conv.forward(&x);
             let grad_out = Tensor::rand_uniform(y.dims(), -1.0, 1.0, &mut rng);
             let grad_in = conv.backward(&grad_out);
 
@@ -1352,7 +1304,7 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, 1, &mut rng);
         let x = Tensor::rand_uniform(&[1, 2, 5, 5], -1.0, 1.0, &mut rng);
 
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let grad_out = Tensor::ones(y.dims());
         let grad_in = conv.backward(&grad_out);
         assert_eq!(grad_in.dims(), x.dims());
@@ -1361,9 +1313,9 @@ mod tests {
         let eps = 1e-3;
         let base = conv.params_mut()[0].value.at(&[1, 0, 1, 2]);
         *conv.params_mut()[0].value.at_mut(&[1, 0, 1, 2]) = base + eps;
-        let plus = conv.forward(&x, false).sum();
+        let plus = crate::infer(&conv, &x).sum();
         *conv.params_mut()[0].value.at_mut(&[1, 0, 1, 2]) = base - eps;
-        let minus = conv.forward(&x, false).sum();
+        let minus = crate::infer(&conv, &x).sum();
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic - numerical).abs() < 0.05,
@@ -1377,16 +1329,16 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, 1, &mut rng);
         let mut x = Tensor::rand_uniform(&[1, 1, 4, 4], -1.0, 1.0, &mut rng);
 
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let grad_in = conv.backward(&Tensor::ones(y.dims()));
         let analytic = grad_in.at(&[0, 0, 2, 1]);
 
         let eps = 1e-3;
         let base = x.at(&[0, 0, 2, 1]);
         *x.at_mut(&[0, 0, 2, 1]) = base + eps;
-        let plus = conv.forward(&x, false).sum();
+        let plus = crate::infer(&conv, &x).sum();
         *x.at_mut(&[0, 0, 2, 1]) = base - eps;
-        let minus = conv.forward(&x, false).sum();
+        let minus = crate::infer(&conv, &x).sum();
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic - numerical).abs() < 0.05,
@@ -1399,7 +1351,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut conv = Conv2d::new(4, 4, 3, 1, 1, 2, &mut rng);
         let x = Tensor::rand_uniform(&[2, 4, 6, 6], -1.0, 1.0, &mut rng);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let g = conv.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());
         assert_eq!(conv.params_mut()[0].grad.dims(), &[4, 2, 3, 3]);
@@ -1407,16 +1359,16 @@ mod tests {
 
     #[test]
     fn eval_forward_between_train_forward_and_backward_keeps_gradients() {
-        // an eval pass (different batch size AND geometry) between
-        // forward(train=true) and backward() must not clobber the cached
-        // im2col columns the backward pass consumes
+        // an inference pass (different batch size AND geometry) between
+        // forward() and backward() must not clobber the cached im2col
+        // columns the backward pass consumes
         let mut rng = StdRng::seed_from_u64(21);
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, 1, &mut rng);
         let x_train = Tensor::rand_uniform(&[2, 3, 7, 7], -1.0, 1.0, &mut rng);
         let x_eval = Tensor::rand_uniform(&[5, 3, 11, 9], -1.0, 1.0, &mut rng);
 
-        let y = conv.forward(&x_train, true);
-        let _ = conv.forward(&x_eval, false);
+        let y = conv.forward(&x_train);
+        let _ = crate::infer(&conv, &x_eval);
         let grad_out = Tensor::ones(y.dims());
         let grad_in = conv.backward(&grad_out);
 
@@ -1477,12 +1429,12 @@ mod tests {
                 ohw < BATCHED_OHW_MAX,
                 "case ohw {ohw} would not route batched"
             );
-            let mut conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
+            let conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
             let x = Tensor::rand_uniform(&[5, cin, h, w], -1.0, 1.0, &mut rng);
             set_batched_gemm(false);
-            let looped = conv.forward(&x, false);
+            let looped = crate::infer(&conv, &x);
             set_batched_gemm(true);
-            let batched = conv.forward(&x, false);
+            let batched = crate::infer(&conv, &x);
             assert_eq!(looped.dims(), batched.dims());
             for (i, (a, b)) in looped
                 .as_slice()
@@ -1504,9 +1456,9 @@ mod tests {
         // a 5×5 kernel on an unpadded 3×3 input used to underflow the
         // usize output-size arithmetic and wrap to a garbage shape
         let mut rng = StdRng::seed_from_u64(32);
-        let mut conv = Conv2d::new(1, 1, 5, 1, 0, 1, &mut rng);
+        let conv = Conv2d::new(1, 1, 5, 1, 0, 1, &mut rng);
         let x = Tensor::zeros(&[1, 1, 3, 3]);
-        let _ = conv.forward(&x, false);
+        let _ = crate::infer(&conv, &x);
     }
 
     #[test]
@@ -1516,10 +1468,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut conv = Conv2d::new(3, 5, 3, 1, 1, 1, &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 7, 7], -1.0, 1.0, &mut rng);
-        let y1 = conv.forward(&x, true);
+        let y1 = conv.forward(&x);
         let g1 = conv.backward(&Tensor::ones(y1.dims()));
         let gw1 = conv.params_mut()[0].grad.clone();
-        let y2 = conv.forward(&x, true);
+        let y2 = conv.forward(&x);
         let g2 = conv.backward(&Tensor::ones(y2.dims()));
         assert_eq!(y1, y2);
         assert_eq!(g1, g2);
@@ -1536,7 +1488,7 @@ mod tests {
         // grouped conv so the per-group wmat.slice path is exercised too
         let mut conv = Conv2d::new(4, 6, 3, 1, 1, 2, &mut rng);
         let x = Tensor::rand_uniform(&[2, 4, 9, 9], -1.0, 1.0, &mut rng);
-        let reference = conv.forward(&x, false);
+        let reference = crate::infer(&conv, &x);
         let w_before = conv.params_mut()[0].value.clone();
         for requested in [DType::F16, DType::I8] {
             conv.to_dtype(requested);
@@ -1549,7 +1501,7 @@ mod tests {
             drop(stores);
             assert_eq!(conv.params_mut().len(), 1);
             assert_eq!(conv.planned_algo(), ConvAlgo::Im2colGemm);
-            let y = conv.forward(&x, false);
+            let y = crate::infer(&conv, &x);
             for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
                 assert!((a - b).abs() <= 5e-3 * a.abs().max(1.0), "{a} vs {b}");
             }
@@ -1577,9 +1529,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut conv = Conv2d::new(8, 16, 1, 1, 0, 1, &mut rng);
         let x = Tensor::rand_uniform(&[4, 8, 4, 4], -1.0, 1.0, &mut rng);
-        let reference = conv.forward(&x, false);
+        let reference = crate::infer(&conv, &x);
         conv.to_dtype(DType::F16);
-        let y = conv.forward(&x, false);
+        let y = crate::infer(&conv, &x);
         assert_eq!(y.dims(), reference.dims());
         for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
             assert!((a - b).abs() <= 5e-3 * a.abs().max(1.0), "{a} vs {b}");
@@ -1602,6 +1554,6 @@ mod tests {
         let mut conv = Conv2d::new(2, 2, 3, 1, 1, 1, &mut rng);
         conv.to_dtype(DType::F16);
         let x = Tensor::zeros(&[1, 2, 5, 5]);
-        let _ = conv.forward(&x, true);
+        let _ = conv.forward(&x);
     }
 }

@@ -1,6 +1,6 @@
 //! Inverted dropout regularisation.
 
-use crate::Layer;
+use crate::{Layer, Workspace};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,8 +35,8 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        if self.p == 0.0 {
             return input.clone();
         }
         let keep = 1.0 - self.p;
@@ -62,18 +62,10 @@ impl Layer for Dropout {
         }
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            // inference identity: copy into the arena buffer
-            out.resize_to(input.dims());
-            out.as_mut_slice().copy_from_slice(input.as_slice());
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.clone())
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        // inference is the identity
+        out.resize_to(input.dims());
+        out.as_mut_slice().copy_from_slice(input.as_slice());
     }
 
     fn name(&self) -> &'static str {
@@ -87,16 +79,16 @@ mod tests {
 
     #[test]
     fn inference_is_identity() {
-        let mut d = Dropout::new(0.5, 0);
+        let d = Dropout::new(0.5, 0);
         let x = Tensor::ones(&[4, 4]);
-        assert_eq!(d.forward(&x, false).as_slice(), x.as_slice());
+        assert_eq!(crate::infer(&d, &x).as_slice(), x.as_slice());
     }
 
     #[test]
     fn training_preserves_expected_value() {
         let mut d = Dropout::new(0.3, 7);
         let x = Tensor::ones(&[10000]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         // inverted dropout keeps E[y] == E[x]
         assert!((y.mean() - 1.0).abs() < 0.05);
     }
@@ -105,7 +97,7 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[64]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let g = d.backward(&Tensor::ones(&[64]));
         // gradient is zero exactly where the forward output was zeroed
         for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {

@@ -4,12 +4,12 @@
 //!
 //! Fusion is a *structural* rewrite with *behavioural* equivalence:
 //!
-//! * **Inference** (`train == false`) runs the fast path — batch-norm (and
+//! * **Inference** ([`Layer::infer_into`]) runs the fast path — batch-norm (and
 //!   the convolution bias) folded into a per-output-channel scale/shift that
 //!   the GEMM applies in its micro-kernel store loop together with the
 //!   activation ([`hs_tensor::Store::Epilogue`]), so a three-layer stack
 //!   becomes one GEMM with zero extra passes over the activation tensor.
-//! * **Training** (`train == true`) and `backward` delegate to the original
+//! * **Training** (`forward`) and `backward` delegate to the original
 //!   layers unchanged — a fused network remains exactly trainable, which the
 //!   federated-learning simulator relies on.
 //! * **Weight layout is invariant**: the fused layers expose their children's
@@ -20,14 +20,14 @@
 //!
 //! The scale/shift fold is recomputed from the batch-norm's *current*
 //! running statistics on every inference forward (an `O(channels)` loop into
-//! reusable buffers), so weight updates and server aggregation between
-//! rounds are always reflected.
+//! the [`crate::Workspace`]), so weight updates and server aggregation
+//! between rounds are always reflected.
 //!
 //! Patterns that do not match — a non-ReLU-family activation, a batch-norm
 //! whose width disagrees with the convolution, anything else in between —
 //! are left untouched, falling back to the exact layer-by-layer path.
 
-use crate::{Layer, Param, ParamStore, Sequential};
+use crate::{Layer, Param, ParamStore, Sequential, Workspace};
 use hs_tensor::{DType, EpilogueAct, Tensor};
 
 /// Rewrites a layer list, fusing `conv (-> bn) (-> act)` and `linear -> act`
@@ -76,12 +76,6 @@ pub struct FusedConvBnAct {
     bn: Option<Box<dyn Layer>>,
     act: Option<Box<dyn Layer>>,
     act_kind: EpilogueAct,
-    /// Reusable fold buffers (per-output-channel scale/shift) for the
-    /// exclusive-access inference entry points.
-    scale: Vec<f32>,
-    shift: Vec<f32>,
-    /// Reusable im2col scratch handed to the conv's shared-state body.
-    col_scratch: Vec<f32>,
 }
 
 impl FusedConvBnAct {
@@ -116,9 +110,6 @@ impl FusedConvBnAct {
             bn,
             act,
             act_kind,
-            scale: Vec::new(),
-            shift: Vec::new(),
-            col_scratch: Vec::new(),
         }
     }
 
@@ -145,39 +136,20 @@ impl FusedConvBnAct {
             }
         }
     }
-
-    /// The exclusive-access fused inference forward, writing into `out`.
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        let mut scale = std::mem::take(&mut self.scale);
-        let mut shift = std::mem::take(&mut self.shift);
-        let mut col = std::mem::take(&mut self.col_scratch);
-        self.fold_into(&mut scale, &mut shift);
-        let conv = self.conv.as_conv2d().expect("validated in new()");
-        conv.infer_into(input, Some((&scale, &shift, self.act_kind)), out, &mut col);
-        self.scale = scale;
-        self.shift = shift;
-        self.col_scratch = col;
-    }
 }
 
 impl Layer for FusedConvBnAct {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            // exact fallback: run the original layers so batch statistics,
-            // caches and gradients behave as if never fused
-            let mut x = self.conv.forward(input, true);
-            if let Some(bn) = &mut self.bn {
-                x = bn.forward(&x, true);
-            }
-            if let Some(act) = &mut self.act {
-                x = act.forward(&x, true);
-            }
-            x
-        } else {
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, &mut out);
-            out
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        // exact fallback: run the original layers so batch statistics,
+        // caches and gradients behave as if never fused
+        let mut x = self.conv.forward(input);
+        if let Some(bn) = &mut self.bn {
+            x = bn.forward(&x);
         }
+        if let Some(act) = &mut self.act {
+            x = act.forward(&x);
+        }
+        x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -192,23 +164,11 @@ impl Layer for FusedConvBnAct {
         self.conv.backward(&g)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, out);
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let (mut scale, mut shift) = (Vec::new(), Vec::new());
-        self.fold_into(&mut scale, &mut shift);
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        self.fold_into(&mut ws.scale, &mut ws.shift);
         let conv = self.conv.as_conv2d().expect("validated in new()");
-        let mut out = Tensor::zeros(&[0]);
-        crate::conv::with_eval_col_scratch(|col| {
-            conv.infer_into(input, Some((&scale, &shift, self.act_kind)), &mut out, col)
-        });
-        Some(out)
+        let ep = Some((&ws.scale[..], &ws.shift[..], self.act_kind));
+        conv.conv_into(input, ep, out, &mut ws.col);
     }
 
     fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
@@ -296,16 +256,9 @@ impl FusedLinearAct {
 }
 
 impl Layer for FusedLinearAct {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            let x = self.linear.forward(input, true);
-            self.act.forward(&x, true)
-        } else {
-            let mut out = Tensor::zeros(&[0]);
-            let linear = self.linear.as_linear().expect("validated in new()");
-            linear.infer_into(input, self.act_kind, &mut out);
-            out
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let x = self.linear.forward(input);
+        self.act.forward(&x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -313,20 +266,9 @@ impl Layer for FusedLinearAct {
         self.linear.backward(&g)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            let linear = self.linear.as_linear().expect("validated in new()");
-            linear.infer_into(input, self.act_kind, out);
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         let linear = self.linear.as_linear().expect("validated in new()");
-        linear.infer_into(input, self.act_kind, &mut out);
-        Some(out)
+        linear.infer_act_into(input, self.act_kind, out);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -48,6 +48,55 @@ impl ParamStore<'_> {
     }
 }
 
+/// Caller-owned scratch for [`Layer::infer_into`]: a stack of reusable
+/// activation buffers plus the convolution scratch (im2col columns and the
+/// fused epilogue's per-channel scale/shift).
+///
+/// Layers only read their own state during inference; everything an
+/// inference pass writes besides its output lives here. One network can
+/// therefore serve many threads at once, each thread holding its own
+/// workspace. Containers borrow intermediate buffers with `take` and return
+/// them with `give` in reverse order, so every pass over the same network
+/// draws the same buffers in the same order: once a workspace has seen the
+/// largest input shape, inference through it allocates nothing.
+#[derive(Default)]
+pub struct Workspace {
+    /// Free activation buffers, used as a stack.
+    free: Vec<Tensor>,
+    /// im2col scratch of the convolution being run.
+    pub(crate) col: Vec<f32>,
+    /// Per-output-channel scale of a fused convolution epilogue.
+    pub(crate) scale: Vec<f32>,
+    /// Per-output-channel shift of a fused convolution epilogue.
+    pub(crate) shift: Vec<f32>,
+}
+
+impl Workspace {
+    /// An empty workspace; buffers are sized by the first pass through it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Borrows an activation buffer (empty on first use).
+    pub(crate) fn take(&mut self) -> Tensor {
+        self.free.pop().unwrap_or_else(|| Tensor::zeros(&[0]))
+    }
+
+    /// Returns a buffer borrowed with [`Workspace::take`].
+    pub(crate) fn give(&mut self, buffer: Tensor) {
+        self.free.push(buffer);
+    }
+}
+
+/// One-shot inference of `layer` on `input` over a fresh [`Workspace`]: the
+/// allocating convenience for tests and one-off calls. Loops keep a
+/// workspace and call [`Layer::infer_into`] directly.
+pub fn infer(layer: &dyn Layer, input: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(&[0]);
+    layer.infer_into(input, &mut out, &mut Workspace::new());
+    out
+}
+
 /// A differentiable network building block.
 ///
 /// A layer caches whatever it needs during [`Layer::forward`] (inputs, masks,
@@ -55,57 +104,36 @@ impl ParamStore<'_> {
 /// produce the gradient with respect to its input while accumulating
 /// parameter gradients into its [`Param`]s.
 ///
+/// Inference has exactly one entry point, [`Layer::infer_into`], which reads
+/// only shared state (`&self`) and writes into a caller-owned output and
+/// [`Workspace`]. Evaluation, serving and [`crate::Network::infer`] all run
+/// it, so they compute identical bits by construction.
+///
 /// Layers are `Send + Sync` so client updates can run on worker threads in
-/// the federated-learning simulator and evaluation batches can be sharded
-/// across the pool against one shared `&Network`.
+/// the federated-learning simulator, and one network can run inference on
+/// many threads at once.
 ///
-/// Beyond the training pair (`forward`/`backward`), the trait carries three
-/// groups of default-implemented inference hooks, so existing layers keep
-/// working unchanged:
-///
-/// * [`Layer::forward_into`] — allocation-free forward into a caller-owned
-///   arena tensor (the forward-plan path),
-/// * [`Layer::forward_eval`] — `&self` inference for batch-sharded
-///   evaluation,
-/// * [`Layer::fuse_inference`] plus the typed views ([`Layer::as_conv2d`],
-///   [`Layer::as_batch_norm`], [`Layer::as_linear`],
-///   [`Layer::epilogue_act`]) — the hooks the conv/BN/activation fusion pass
-///   uses to pattern-match and rebuild layer runs.
+/// Beyond these three methods the trait carries the default-implemented
+/// hooks of the fusion pass ([`Layer::fuse_inference`] plus the typed views
+/// [`Layer::as_conv2d`], [`Layer::as_batch_norm`], [`Layer::as_linear`] and
+/// [`Layer::epilogue_act`]) and of the parameter walks.
 pub trait Layer: Send + Sync {
-    /// Computes the layer output for `input`.
-    ///
-    /// `train` selects training-time behaviour (e.g. batch-norm batch
-    /// statistics, dropout masking); inference uses running statistics and
-    /// identity dropout.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// The training forward: batch statistics, dropout masks, and the caches
+    /// [`Layer::backward`] consumes.
+    fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (gradient w.r.t. the layer output) backwards,
     /// returning the gradient w.r.t. the layer input and accumulating
     /// parameter gradients.
     ///
-    /// Must be called after a `forward` pass with `train == true`.
+    /// Must be called after [`Layer::forward`].
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
-    /// Writes the layer output for `input` into `out`, resizing it via
-    /// [`Tensor::resize_to`] so a warm arena buffer is reused instead of
-    /// reallocated. `out` never aliases `input`.
-    ///
-    /// The default falls back to [`Layer::forward`] (which allocates);
-    /// layers on the inference hot path override it.
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        *out = self.forward(input, train);
-    }
-
-    /// Inference-mode forward that only reads shared state, so one network
-    /// can evaluate many batches concurrently from `&self`.
-    ///
-    /// Returns `None` when the layer has no shared-state inference path
-    /// (the default); callers must then fall back to the exclusive
-    /// [`Layer::forward`] with `train == false`. Implementations must return
-    /// exactly what `forward(input, false)` would.
-    fn forward_eval(&self, _input: &Tensor) -> Option<Tensor> {
-        None
-    }
+    /// The inference forward (running statistics, identity dropout): writes
+    /// the layer output for `input` into `out`, resizing it via
+    /// [`Tensor::resize_to`] so a warm buffer is reused rather than
+    /// reallocated. `out` never aliases `input`; scratch comes from `ws`.
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace);
 
     /// Rewrites this layer's children for fused inference (conv/BN/activation
     /// and linear/activation runs collapse into fused layers; see
@@ -183,11 +211,15 @@ mod tests {
     struct Identity;
 
     impl Layer for Identity {
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+        fn forward(&mut self, input: &Tensor) -> Tensor {
             input.clone()
         }
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             grad_out.clone()
+        }
+        fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+            out.resize_to(input.dims());
+            out.as_mut_slice().copy_from_slice(input.as_slice());
         }
         fn name(&self) -> &'static str {
             "identity"
@@ -200,7 +232,7 @@ mod tests {
         assert!(id.params_mut().is_empty());
         assert!(id.buffers_mut().is_empty());
         let x = Tensor::ones(&[2, 2]);
-        assert_eq!(id.forward(&x, true).as_slice(), x.as_slice());
+        assert_eq!(id.forward(&x).as_slice(), x.as_slice());
         assert_eq!(id.backward(&x).as_slice(), x.as_slice());
     }
 
@@ -213,17 +245,12 @@ mod tests {
     fn default_inference_hooks_are_conservative() {
         let mut id = Identity;
         let x = Tensor::ones(&[2, 2]);
-        // forward_eval: unsupported by default
-        assert!(id.forward_eval(&x).is_none());
+        assert_eq!(infer(&id, &x).as_slice(), x.as_slice());
         // typed views: not a conv/bn/linear/activation
         assert!(id.as_conv2d().is_none());
         assert!(id.as_batch_norm().is_none());
         assert!(id.as_linear().is_none());
         assert!(id.epilogue_act().is_none());
-        // forward_into falls back to forward
-        let mut out = Tensor::zeros(&[0]);
-        id.forward_into(&x, &mut out, false);
-        assert_eq!(out.as_slice(), x.as_slice());
         // fuse_inference and to_dtype are no-ops; param_stores mirrors params
         id.fuse_inference();
         id.to_dtype(DType::F16);

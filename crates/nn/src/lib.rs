@@ -13,6 +13,11 @@
 //! is just a [`Network`] whose parameters can be flattened into a `Vec<f32>`
 //! for aggregation on the server.
 //!
+//! Inference is one path: [`Layer::infer_into`] reads only `&self` and
+//! writes through a caller-owned [`Workspace`]. [`Network::infer`] runs it
+//! over the network's own workspace; sharded evaluation and the serving
+//! workers run it on one shared network with one workspace per thread.
+//!
 //! ```
 //! use hs_nn::{Linear, Network, Relu, Sequential, CrossEntropyLoss, Loss, Sgd, Target};
 //! use hs_tensor::Tensor;
@@ -26,7 +31,7 @@
 //! ]));
 //! let x = Tensor::rand_uniform(&[2, 4], -1.0, 1.0, &mut rng);
 //! let target = Target::Classes(vec![0, 2]);
-//! let logits = net.forward(&x, true);
+//! let logits = net.forward(&x);
 //! let (loss, grad) = CrossEntropyLoss.forward(&logits, &target);
 //! net.backward(&grad);
 //! Sgd::new(0.1).step(&mut net);
@@ -60,7 +65,7 @@ pub use conv::{batched_gemm_crossovers, set_batched_gemm, Conv2d, ConvAlgo};
 pub use dropout::Dropout;
 pub use fuse::{fuse_sequential, FusedConvBnAct, FusedLinearAct};
 pub use hs_tensor::EpilogueAct;
-pub use layer::{Layer, ParamStore};
+pub use layer::{infer, Layer, ParamStore, Workspace};
 pub use linear::Linear;
 pub use loss::{BceWithLogitsLoss, CrossEntropyLoss, Loss, MseLoss, Target};
 pub use network::Network;

@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer.
 
-use crate::{Layer, Param, ParamStore};
+use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::{he_normal, DType, EpilogueAct, QTensor, Tensor, WeightMat};
 use rand::rngs::StdRng;
 
@@ -61,9 +61,7 @@ impl Linear {
     /// Inference forward into `out` (resized in place): `y = x W^T + b`
     /// followed by `act`, with the bias add and activation fused into one
     /// pass over the output instead of two separate tensor traversals.
-    /// Reads only shared state, so sharded evaluation can call it from
-    /// `&self`.
-    pub(crate) fn infer_into(&self, input: &Tensor, act: EpilogueAct, out: &mut Tensor) {
+    pub(crate) fn infer_act_into(&self, input: &Tensor, act: EpilogueAct, out: &mut Tensor) {
         assert_eq!(input.rank(), 2, "Linear expects a [n, features] input");
         assert_eq!(
             input.dims()[1],
@@ -92,17 +90,11 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         assert!(
-            self.qweight.is_none() || !train,
+            self.qweight.is_none(),
             "Linear: cannot train a quantized layer — call to_dtype(DType::F32) first"
         );
-        if self.qweight.is_some() {
-            // allocating inference path on a quantized layer: reuse infer_into
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, EpilogueAct::None, &mut out);
-            return out;
-        }
         assert_eq!(input.rank(), 2, "Linear expects a [n, features] input");
         assert_eq!(
             input.dims()[1],
@@ -111,9 +103,7 @@ impl Layer for Linear {
             self.in_features,
             input.dims()[1]
         );
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+        self.cached_input = Some(input.clone());
         // y = x W^T + b on the GEMM layer; matmul_nt transposes W through a
         // scratch buffer instead of materialising a Tensor, and the bias is
         // added in place rather than via another allocation.
@@ -130,7 +120,7 @@ impl Layer for Linear {
         let input = self
             .cached_input
             .as_ref()
-            .expect("backward called before forward(train=true)");
+            .expect("backward called before forward");
         // grad_w = grad_out^T  x  input  -> [out, in]
         let grad_w = grad_out.matmul_tn(input);
         self.weight.accumulate_grad(&grad_w);
@@ -141,18 +131,8 @@ impl Layer for Linear {
         grad_out.matmul(&self.weight.value)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, EpilogueAct::None, out);
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, EpilogueAct::None, &mut out);
-        Some(out)
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        self.infer_act_into(input, EpilogueAct::None, out);
     }
 
     fn as_linear(&self) -> Option<&Linear> {
@@ -216,9 +196,9 @@ mod tests {
     #[test]
     fn forward_shape() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Linear::new(5, 3, &mut rng);
+        let l = Linear::new(5, 3, &mut rng);
         let x = Tensor::rand_uniform(&[4, 5], -1.0, 1.0, &mut rng);
-        let y = l.forward(&x, false);
+        let y = crate::infer(&l, &x);
         assert_eq!(y.dims(), &[4, 3]);
     }
 
@@ -229,7 +209,7 @@ mod tests {
         l.params_mut()[0].value = Tensor::eye(3);
         l.params_mut()[1].value = Tensor::zeros(&[3]);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-        let y = l.forward(&x, false);
+        let y = crate::infer(&l, &x);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -240,7 +220,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[2, 3], -1.0, 1.0, &mut rng);
 
         // analytic gradient of sum(output) w.r.t. weight[0][0]
-        let y = l.forward(&x, true);
+        let y = l.forward(&x);
         let grad_out = Tensor::ones(y.dims());
         let grad_in = l.backward(&grad_out);
         let analytic_w = l.params_mut()[0].grad.at(&[0, 0]);
@@ -249,9 +229,9 @@ mod tests {
         let eps = 1e-3;
         let base_w = l.params_mut()[0].value.at(&[0, 0]);
         *l.params_mut()[0].value.at_mut(&[0, 0]) = base_w + eps;
-        let plus = l.forward(&x, false).sum();
+        let plus = crate::infer(&l, &x).sum();
         *l.params_mut()[0].value.at_mut(&[0, 0]) = base_w - eps;
-        let minus = l.forward(&x, false).sum();
+        let minus = crate::infer(&l, &x).sum();
         *l.params_mut()[0].value.at_mut(&[0, 0]) = base_w;
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
@@ -281,7 +261,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut l = Linear::new(16, 8, &mut rng);
         let x = Tensor::rand_uniform(&[4, 16], -1.0, 1.0, &mut rng);
-        let reference = l.forward(&x, false);
+        let reference = crate::infer(&l, &x);
         let w_before = l.params_mut()[0].value.clone();
         for dtype in [DType::F16, DType::I8] {
             l.to_dtype(dtype);
@@ -293,7 +273,7 @@ mod tests {
             assert_eq!(stores[0].dtype(), dtype);
             assert_eq!(stores[0].dims(), &[8, 16]);
             drop(stores);
-            let y = l.forward(&x, false);
+            let y = crate::infer(&l, &x);
             let tol = if dtype == DType::F16 { 5e-3 } else { 5e-2 };
             for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
                 assert!(
@@ -325,6 +305,6 @@ mod tests {
         let mut l = Linear::new(4, 2, &mut rng);
         l.to_dtype(DType::I8);
         let x = Tensor::zeros(&[1, 4]);
-        let _ = l.forward(&x, true);
+        let _ = l.forward(&x);
     }
 }

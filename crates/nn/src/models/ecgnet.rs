@@ -40,7 +40,7 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..200 {
-            let preds = net.forward(&x, true);
+            let preds = net.forward(&x);
             let (loss, grad) = MseLoss.forward(&preds, &target);
             net.backward(&grad);
             opt.step(&mut net);

@@ -43,7 +43,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = mobilenet_v3_small(VisionConfig::new(3, 7, 32), &mut rng);
         let x = Tensor::rand_uniform(&[1, 3, 32, 32], 0.0, 1.0, &mut rng);
-        assert_eq!(net.forward(&x, false).dims(), &[1, 7]);
+        assert_eq!(net.infer(&x).dims(), &[1, 7]);
     }
 
     #[test]
@@ -51,6 +51,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = mobilenet_v3_small(VisionConfig::new(3, 12, 48), &mut rng);
         let x = Tensor::rand_uniform(&[1, 3, 48, 48], 0.0, 1.0, &mut rng);
-        assert_eq!(net.forward(&x, false).dims(), &[1, 12]);
+        assert_eq!(net.infer(&x).dims(), &[1, 12]);
     }
 }

@@ -101,7 +101,7 @@ mod tests {
         let cfg = VisionConfig::new(3, 12, 32);
         let mut net = build_vision_model(kind, cfg, &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 32, 32], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x, true);
+        let y = net.forward(&x);
         assert_eq!(y.dims(), &[2, 12], "{kind:?} logits shape");
         let g = net.backward(&Tensor::ones(&[2, 12]));
         assert_eq!(g.dims(), &[2, 3, 32, 32], "{kind:?} input gradient shape");

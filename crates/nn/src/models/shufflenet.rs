@@ -42,6 +42,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = shufflenet_v2(VisionConfig::new(3, 9, 32), &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 32, 32], 0.0, 1.0, &mut rng);
-        assert_eq!(net.forward(&x, false).dims(), &[2, 9]);
+        assert_eq!(net.infer(&x).dims(), &[2, 9]);
     }
 }

@@ -45,7 +45,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = simple_cnn(VisionConfig::new(1, 4, 16), &mut rng);
         let x = Tensor::rand_uniform(&[3, 1, 16, 16], 0.0, 1.0, &mut rng);
-        assert_eq!(net.forward(&x, false).dims(), &[3, 4]);
+        assert_eq!(net.infer(&x).dims(), &[3, 4]);
     }
 
     #[test]

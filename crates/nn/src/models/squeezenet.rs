@@ -39,6 +39,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = squeezenet(VisionConfig::new(3, 12, 32), &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 32, 32], 0.0, 1.0, &mut rng);
-        assert_eq!(net.forward(&x, false).dims(), &[2, 12]);
+        assert_eq!(net.infer(&x).dims(), &[2, 12]);
     }
 }

@@ -1,34 +1,17 @@
 //! The [`Network`] wrapper: a trainable model whose parameters and buffers
 //! can be flattened into a single weight vector for federated aggregation.
 
-use crate::{Layer, Loss, Param, ParamStore, Sequential, Target};
+use crate::{Layer, Loss, Param, ParamStore, Sequential, Target, Workspace};
 use hs_tensor::{DType, Tensor};
-
-/// The per-network inference arena: two ping-pong activation buffers that
-/// layers write into via [`Layer::forward_into`]. Sized lazily by the first
-/// forward for each (batch, shape); after that warm-up, planned inference
-/// reuses the buffers and allocates nothing in the layers that implement
-/// `forward_into` natively.
-struct ForwardPlan {
-    front: Tensor,
-    back: Tensor,
-}
-
-impl ForwardPlan {
-    fn new() -> Self {
-        ForwardPlan {
-            front: Tensor::zeros(&[0]),
-            back: Tensor::zeros(&[0]),
-        }
-    }
-}
 
 /// A trainable model: a [`Sequential`] stack plus the weight-vector plumbing
 /// needed by federated learning (flatten / restore all parameters and
 /// batch-norm buffers).
 pub struct Network {
     layers: Sequential,
-    plan: ForwardPlan,
+    /// Workspace and output of [`Network::infer`].
+    ws: Workspace,
+    out: Tensor,
 }
 
 impl Network {
@@ -36,44 +19,31 @@ impl Network {
     pub fn new(layers: Sequential) -> Self {
         Network {
             layers,
-            plan: ForwardPlan::new(),
+            ws: Workspace::new(),
+            out: Tensor::zeros(&[0]),
         }
     }
 
-    /// Runs a forward pass. `train` enables training-time behaviour
-    /// (batch statistics, dropout, gradient caches).
-    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.layers.forward(x, train)
+    /// The training forward pass (batch statistics, dropout, gradient
+    /// caches); pair it with [`Network::backward`].
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.layers.forward(x)
     }
 
-    /// The planned inference forward: drives every top-level layer through
-    /// [`Layer::forward_into`] over the network's ping-pong arena, so after
-    /// warm-up a steady-state inference pass performs no output-tensor
-    /// allocations in the planned layers. Returns a reference into the arena
-    /// (clone it if the result must outlive the next forward).
-    ///
-    /// Numerically identical to `forward(x, false)`.
+    /// Inference over the network's own workspace: after the first pass at
+    /// a given input shape, a pass performs no allocations. Returns a
+    /// reference to the network-held output (clone it if the result must
+    /// outlive the next call).
     pub fn infer(&mut self, x: &Tensor) -> &Tensor {
-        let plan = &mut self.plan;
-        match self.layers.layers_mut() {
-            [] => plan.front = x.clone(),
-            [first, rest @ ..] => {
-                first.forward_into(x, &mut plan.front, false);
-                for layer in rest {
-                    layer.forward_into(&plan.front, &mut plan.back, false);
-                    std::mem::swap(&mut plan.front, &mut plan.back);
-                }
-            }
-        }
-        &plan.front
+        self.layers.infer_into(x, &mut self.out, &mut self.ws);
+        &self.out
     }
 
-    /// Inference forward that only reads shared state, so whole evaluation
-    /// batches can be sharded across threads against one `&Network`.
-    /// `None` when some layer lacks a shared-state path (see
-    /// [`Layer::forward_eval`]); callers then fall back to [`Network::forward`].
-    pub fn forward_eval(&self, x: &Tensor) -> Option<Tensor> {
-        self.layers.forward_eval(x)
+    /// Inference over a caller-owned workspace. Reads only shared state, so
+    /// one network (e.g. behind an `Arc`) can serve many threads, each with
+    /// its own workspace; bit-identical to [`Network::infer`].
+    pub fn infer_into(&self, x: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        self.layers.infer_into(x, out, ws);
     }
 
     /// Rewrites the layer stack for fused inference: conv/BN/activation and
@@ -213,22 +183,20 @@ impl Network {
     /// Runs a full training step on one batch: forward, loss, backward.
     /// Returns the batch loss; the caller applies the optimizer.
     pub fn forward_backward(&mut self, x: &Tensor, target: &Target, loss: &dyn Loss) -> f32 {
-        let out = self.forward(x, true);
+        let out = self.forward(x);
         let (l, grad) = loss.forward(&out, target);
         self.backward(&grad);
         l
     }
 
     /// Evaluates the mean loss on a batch without touching gradients or
-    /// batch-norm running statistics. Runs on the allocation-free plan path
-    /// ([`Network::infer`]).
+    /// batch-norm running statistics ([`Network::infer`]).
     pub fn eval_loss(&mut self, x: &Tensor, target: &Target, loss: &dyn Loss) -> f32 {
         let (l, _) = loss.forward(self.infer(x), target);
         l
     }
 
-    /// Predicted class indices for a batch (inference mode). Runs on the
-    /// allocation-free plan path ([`Network::infer`]).
+    /// Predicted class indices for a batch ([`Network::infer`]).
     pub fn predict_classes(&mut self, x: &Tensor) -> Vec<usize> {
         self.infer(x).argmax_rows()
     }
@@ -266,10 +234,10 @@ mod tests {
         let x = Tensor::rand_uniform(&[4, 6], -1.0, 1.0, &mut rng);
         let mut a = net(0);
         let mut b = net(99);
-        let before = b.forward(&x, false);
+        let before = b.infer(&x).clone();
         b.set_weights(&a.weights());
-        let after = b.forward(&x, false);
-        let same_as_a = a.forward(&x, false);
+        let after = b.infer(&x).clone();
+        let same_as_a = a.infer(&x).clone();
         assert_ne!(before.as_slice(), after.as_slice());
         assert_eq!(after.as_slice(), same_as_a.as_slice());
     }

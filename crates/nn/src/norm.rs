@@ -1,6 +1,6 @@
 //! Batch normalisation over the channel axis of `[n, c, h, w]` tensors.
 
-use crate::{Layer, Param};
+use crate::{Layer, Param, Workspace};
 use hs_tensor::Tensor;
 
 /// Batch normalisation for convolutional feature maps.
@@ -65,44 +65,10 @@ impl BatchNorm2d {
             shift.push(beta[c] - mean[c] * s);
         }
     }
-
-    /// Inference forward into `out` (resized in place): a single fused
-    /// per-channel affine pass over the input using running statistics.
-    /// Unlike the training path this allocates no normalised-value cache and
-    /// never touches layer state.
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 4, "BatchNorm2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
-        let hw = h * w;
-        let x = input.as_slice();
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
-        let mean = self.running_mean.as_slice();
-        let var = self.running_var.as_slice();
-        out.resize_to(dims);
-        let o = out.as_mut_slice();
-        for ci in 0..c {
-            let s = gamma[ci] / (var[ci] + self.eps).sqrt();
-            let t = beta[ci] - mean[ci] * s;
-            for ni in 0..n {
-                let off = (ni * c + ci) * hw;
-                for (ov, &xv) in o[off..off + hw].iter_mut().zip(x[off..off + hw].iter()) {
-                    *ov = s * xv + t;
-                }
-            }
-        }
-    }
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train {
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, &mut out);
-            return out;
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 4, "BatchNorm2d expects a [n, c, h, w] input");
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -156,18 +122,31 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(out, dims)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, out);
+    /// A single fused per-channel affine pass over the input using running
+    /// statistics; unlike the training path it never touches layer state.
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        assert_eq!(input.rank(), 4, "BatchNorm2d expects a [n, c, h, w] input");
+        let dims = input.dims();
+        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
+        let hw = h * w;
+        let x = input.as_slice();
+        let gamma = self.gamma.value.as_slice();
+        let beta = self.beta.value.as_slice();
+        let mean = self.running_mean.as_slice();
+        let var = self.running_var.as_slice();
+        out.resize_to(dims);
+        let o = out.as_mut_slice();
+        for ci in 0..c {
+            let s = gamma[ci] / (var[ci] + self.eps).sqrt();
+            let t = beta[ci] - mean[ci] * s;
+            for ni in 0..n {
+                let off = (ni * c + ci) * hw;
+                for (ov, &xv) in o[off..off + hw].iter_mut().zip(x[off..off + hw].iter()) {
+                    *ov = s * xv + t;
+                }
+            }
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        Some(out)
     }
 
     fn as_batch_norm(&self) -> Option<&BatchNorm2d> {
@@ -178,7 +157,7 @@ impl Layer for BatchNorm2d {
         let normalized = self
             .cached_normalized
             .as_ref()
-            .expect("backward called before forward(train=true)");
+            .expect("backward called before forward");
         let std_inv = self.cached_std_inv.as_ref().expect("missing cache");
         let dims = self.cached_dims.clone().expect("missing cache");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -250,7 +229,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut bn = BatchNorm2d::new(3);
         let x = Tensor::rand_uniform(&[4, 3, 6, 6], 2.0, 5.0, &mut rng);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // each channel of the output should be ~zero-mean, ~unit-variance
         for ci in 0..3 {
             let mut vals = Vec::new();
@@ -275,10 +254,10 @@ mod tests {
         let x = Tensor::rand_uniform(&[8, 2, 4, 4], 0.0, 1.0, &mut rng);
         // several training passes move the running stats towards the batch stats
         for _ in 0..50 {
-            let _ = bn.forward(&x, true);
+            let _ = bn.forward(&x);
         }
-        let y_train = bn.forward(&x, true);
-        let y_eval = bn.forward(&x, false);
+        let y_train = bn.forward(&x);
+        let y_eval = crate::infer(&bn, &x);
         // with converged running stats, train and eval outputs should agree closely
         for (a, b) in y_train.as_slice().iter().zip(y_eval.as_slice()) {
             assert!((a - b).abs() < 0.1);
@@ -298,7 +277,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::rand_uniform(&[2, 2, 3, 3], -1.0, 1.0, &mut rng);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         let grad_out = Tensor::rand_uniform(y.dims(), -1.0, 1.0, &mut rng);
         let _ = bn.backward(&grad_out);
         let expected: f32 = (0..2)
@@ -319,7 +298,7 @@ mod tests {
         // weight the output so the gradient is non-trivial
         let weights = Tensor::rand_uniform(&[2, 1, 2, 2], 0.5, 1.5, &mut rng);
 
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         let _ = y;
         let grad_in = bn.backward(&weights);
         let analytic = grad_in.at(&[0, 0, 1, 0]);
@@ -329,10 +308,10 @@ mod tests {
         // numerical: fresh layers so running stats do not interfere
         let mut bn_plus = BatchNorm2d::new(1);
         *x.at_mut(&[0, 0, 1, 0]) = base + eps;
-        let plus = bn_plus.forward(&x, true).mul(&weights).sum();
+        let plus = bn_plus.forward(&x).mul(&weights).sum();
         let mut bn_minus = BatchNorm2d::new(1);
         *x.at_mut(&[0, 0, 1, 0]) = base - eps;
-        let minus = bn_minus.forward(&x, true).mul(&weights).sum();
+        let minus = bn_minus.forward(&x).mul(&weights).sum();
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic - numerical).abs() < 0.05,

@@ -97,7 +97,7 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..40 {
-            let logits = net.forward(&x, true);
+            let logits = net.forward(&x);
             let (loss, grad) = CrossEntropyLoss.forward(&logits, &target);
             net.backward(&grad);
             opt.step(&mut net);
@@ -122,7 +122,7 @@ mod tests {
 
         let mut losses = Vec::new();
         for _ in 0..30 {
-            let logits = net.forward(&x, true);
+            let logits = net.forward(&x);
             let (loss, grad) = CrossEntropyLoss.forward(&logits, &target);
             net.backward(&grad);
             opt.step(&mut net);
@@ -136,7 +136,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut net = toy_net(&mut rng);
         let x = hs_tensor::Tensor::rand_uniform(&[3, 4], -1.0, 1.0, &mut rng);
-        let logits = net.forward(&x, true);
+        let logits = net.forward(&x);
         let (_, grad) = CrossEntropyLoss.forward(&logits, &Target::Classes(vec![0, 1, 2]));
         net.backward(&grad);
         let mut opt = Sgd::new(0.01);

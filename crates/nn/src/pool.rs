@@ -1,6 +1,6 @@
 //! Pooling and reshaping layers.
 
-use crate::Layer;
+use crate::{Layer, Workspace};
 use hs_tensor::Tensor;
 
 /// 2-D max pooling with a square window and stride equal to the window size.
@@ -24,39 +24,10 @@ impl MaxPool2d {
             cached_in_dims: None,
         }
     }
-
-    /// Inference pooling into `out` (resized): no argmax bookkeeping, no
-    /// state writes.
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let s = self.size;
-        let (oh, ow) = (h / s, w / s);
-        let x = input.as_slice();
-        out.resize_to(&[n, c, oh, ow]);
-        let o = out.as_mut_slice();
-        for nc in 0..n * c {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for di in 0..s {
-                        for dj in 0..s {
-                            let v = x[(nc * h + oi * s + di) * w + oj * s + dj];
-                            if v > best {
-                                best = v;
-                            }
-                        }
-                    }
-                    o[(nc * oh + oi) * ow + oj] = best;
-                }
-            }
-        }
-    }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -85,10 +56,8 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        if train {
-            self.cached_argmax = Some(argmax);
-            self.cached_in_dims = Some(dims.to_vec());
-        }
+        self.cached_argmax = Some(argmax);
+        self.cached_in_dims = Some(dims.to_vec());
         Tensor::from_vec(out, &[n, c, oh, ow])
     }
 
@@ -105,18 +74,32 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(grad_in, &in_dims)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, out);
+    /// Inference pooling: no argmax bookkeeping, no state writes.
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
+        let dims = input.dims();
+        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let s = self.size;
+        let (oh, ow) = (h / s, w / s);
+        let x = input.as_slice();
+        out.resize_to(&[n, c, oh, ow]);
+        let o = out.as_mut_slice();
+        for nc in 0..n * c {
+            for oi in 0..oh {
+                for oj in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    for di in 0..s {
+                        for dj in 0..s {
+                            let v = x[(nc * h + oi * s + di) * w + oj * s + dj];
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                    }
+                    o[(nc * oh + oi) * ow + oj] = best;
+                }
+            }
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        Some(out)
     }
 
     fn name(&self) -> &'static str {
@@ -145,9 +128,9 @@ impl AvgPool2d {
         }
     }
 
-    /// The stateless pooling computation shared by every forward variant,
+    /// The stateless pooling computation shared by training and inference,
     /// writing into `out` (resized in place).
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn pool_into(&self, input: &Tensor, out: &mut Tensor) {
         assert_eq!(input.rank(), 4, "AvgPool2d expects a [n, c, h, w] input");
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -171,32 +154,18 @@ impl AvgPool2d {
             }
         }
     }
-
-    /// The stateless pooling computation shared by every forward variant.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        out
-    }
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer(input)
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_in_dims = Some(input.dims().to_vec());
+        let mut out = Tensor::zeros(&[0]);
+        self.pool_into(input, &mut out);
+        out
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer_into(input, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(self.infer(input))
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        self.pool_into(input, out);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -254,9 +223,9 @@ impl Default for GlobalAvgPool {
 }
 
 impl GlobalAvgPool {
-    /// The stateless pooling computation shared by every forward variant,
+    /// The stateless pooling computation shared by training and inference,
     /// writing into `out` (resized in place).
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+    fn pool_into(&self, input: &Tensor, out: &mut Tensor) {
         assert_eq!(
             input.rank(),
             4,
@@ -275,32 +244,18 @@ impl GlobalAvgPool {
             }
         }
     }
-
-    /// The stateless pooling computation shared by every forward variant.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        out
-    }
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer(input)
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.cached_in_dims = Some(input.dims().to_vec());
+        let mut out = Tensor::zeros(&[0]);
+        self.pool_into(input, &mut out);
+        out
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer_into(input, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(self.infer(input))
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        self.pool_into(input, out);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -350,15 +305,12 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         assert!(input.rank() >= 2, "Flatten expects at least a rank-2 input");
         let dims = input.dims();
-        let n = dims[0];
         let rest: usize = dims[1..].iter().product();
-        if train {
-            self.cached_in_dims = Some(dims.to_vec());
-        }
-        input.reshape(&[n, rest])
+        self.cached_in_dims = Some(dims.to_vec());
+        input.reshape(&[dims[0], rest])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -369,21 +321,12 @@ impl Layer for Flatten {
         grad_out.reshape(&in_dims)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            let dims = input.dims();
-            let rest: usize = dims[1..].iter().product();
-            out.resize_to(&[dims[0], rest]);
-            out.as_mut_slice().copy_from_slice(input.as_slice());
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        assert!(input.rank() >= 2, "Flatten expects at least a rank-2 input");
         let dims = input.dims();
         let rest: usize = dims[1..].iter().product();
-        Some(input.reshape(&[dims[0], rest]))
+        out.resize_to(&[dims[0], rest]);
+        out.as_mut_slice().copy_from_slice(input.as_slice());
     }
 
     fn name(&self) -> &'static str {
@@ -407,7 +350,7 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x);
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
         let g = pool.backward(&Tensor::ones(&[1, 1, 2, 2]));
@@ -421,7 +364,7 @@ mod tests {
     fn avg_pool_averages_and_spreads_gradient() {
         let mut pool = AvgPool2d::new(2);
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]);
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x);
         assert_eq!(y.as_slice(), &[4.0]);
         let g = pool.backward(&Tensor::ones(&[1, 1, 1, 1]));
         assert_eq!(g.as_slice(), &[0.25, 0.25, 0.25, 0.25]);
@@ -431,7 +374,7 @@ mod tests {
     fn global_avg_pool_shapes() {
         let mut pool = GlobalAvgPool::new();
         let x = Tensor::ones(&[2, 3, 4, 4]);
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x);
         assert_eq!(y.dims(), &[2, 3]);
         assert_eq!(y.as_slice(), &[1.0; 6]);
         let g = pool.backward(&Tensor::ones(&[2, 3]));
@@ -443,7 +386,7 @@ mod tests {
     fn flatten_round_trips() {
         let mut f = Flatten::new();
         let x = Tensor::ones(&[2, 3, 4, 4]);
-        let y = f.forward(&x, true);
+        let y = f.forward(&x);
         assert_eq!(y.dims(), &[2, 48]);
         let g = f.backward(&y);
         assert_eq!(g.dims(), &[2, 3, 4, 4]);

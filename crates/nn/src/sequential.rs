@@ -1,28 +1,22 @@
 //! A container that chains layers in order.
 
-use crate::{Layer, Param, ParamStore};
+use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::{DType, Tensor};
 
 /// Runs a list of layers in sequence; the workhorse container for every model
 /// in the zoo.
 ///
-/// For planned inference ([`Layer::forward_into`]) the container owns a
-/// ping-pong arena pair, so nested sequentials (the bodies of the zoo's
-/// composite blocks) stop allocating per layer exactly like the top-level
-/// plan in [`crate::Network::infer`].
+/// Inference ping-pongs between two [`Workspace`] buffers and writes the
+/// last layer straight into the caller's output, so nested sequentials (the
+/// bodies of the zoo's composite blocks) allocate nothing once warm.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    /// Ping-pong arena buffers for the planned inference path.
-    arena: (Tensor, Tensor),
 }
 
 impl Sequential {
     /// Creates a sequential container from boxed layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Sequential {
-            layers,
-            arena: (Tensor::zeros(&[0]), Tensor::zeros(&[0])),
-        }
+        Sequential { layers }
     }
 
     /// Creates an empty container (useful with [`Sequential::push`]).
@@ -45,8 +39,7 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Mutable access to the layer list (used by the network-level forward
-    /// plan to drive `forward_into` layer by layer).
+    /// Mutable access to the layer list (checkpoint naming walks it).
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
@@ -60,10 +53,10 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+            x = layer.forward(&x);
         }
         x
     }
@@ -76,43 +69,27 @@ impl Layer for Sequential {
         g
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let Some((last, rest)) = self.layers.split_last() else {
+            out.resize_to(input.dims());
+            out.as_mut_slice().copy_from_slice(input.as_slice());
             return;
+        };
+        let Some((first, mid)) = rest.split_first() else {
+            return last.infer_into(input, out, ws);
+        };
+        // every layer but the last ping-pongs between two workspace buffers;
+        // the last writes straight into `out`
+        let (mut a, mut b) = (ws.take(), ws.take());
+        let (mut front, mut back) = (&mut a, &mut b);
+        first.infer_into(input, front, ws);
+        for layer in mid {
+            layer.infer_into(front, back, ws);
+            std::mem::swap(&mut front, &mut back);
         }
-        // planned inference: every layer but the last writes into the
-        // container's ping-pong arena; the last writes straight into `out`,
-        // so after warm-up the whole chain performs no allocations
-        match self.layers.split_last_mut() {
-            None => {
-                out.resize_to(input.dims());
-                out.as_mut_slice().copy_from_slice(input.as_slice());
-            }
-            Some((last, rest)) => {
-                let (front, back) = &mut self.arena;
-                match rest.split_first_mut() {
-                    None => last.forward_into(input, out, false),
-                    Some((first, mid)) => {
-                        first.forward_into(input, front, false);
-                        for layer in mid {
-                            layer.forward_into(front, back, false);
-                            std::mem::swap(front, back);
-                        }
-                        last.forward_into(front, out, false);
-                    }
-                }
-            }
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut x: Option<Tensor> = None;
-        for layer in &self.layers {
-            let cur = x.as_ref().unwrap_or(input);
-            x = Some(layer.forward_eval(cur)?);
-        }
-        Some(x.unwrap_or_else(|| input.clone()))
+        last.infer_into(front, out, ws);
+        ws.give(b);
+        ws.give(a);
     }
 
     fn fuse_inference(&mut self) {
@@ -174,7 +151,7 @@ mod tests {
             Box::new(Linear::new(8, 2, &mut rng)),
         ]);
         let x = Tensor::rand_uniform(&[3, 4], -1.0, 1.0, &mut rng);
-        let y = seq.forward(&x, true);
+        let y = seq.forward(&x);
         assert_eq!(y.dims(), &[3, 2]);
         let g = seq.backward(&Tensor::ones(&[3, 2]));
         assert_eq!(g.dims(), &[3, 4]);

@@ -2,7 +2,7 @@
 //!
 //! A dynamic micro-batching inference server over the `hs-nn` model zoo —
 //! the subsystem that turns the repository's fast kernels into a *system*:
-//! queueing, replication, versioning and backpressure in one place.
+//! queueing, a worker pool, versioning and backpressure in one place.
 //!
 //! ## Architecture
 //!
@@ -10,32 +10,37 @@
 //!  clients ──► ServeClient::submit ──► BoundedQueue (admission control)
 //!                                          │  try_push: full → Backpressure
 //!                                          ▼
-//!                         worker threads (one fused Network replica each)
-//!                           1. poll ModelRegistry, hot-swap between batches
+//!                         worker threads (each: its own Workspace)
+//!                           1. poll ModelRegistry; on a new version swap
+//!                              the shared Arc between batches
 //!                           2. collect_batch: max_batch / max_wait_us
 //!                           3. drop expired requests (deadlines)
-//!                           4. one batched Network::infer forward
+//!                           4. one batched Network::infer_into forward
 //!                           5. route logits rows via completion slots
-//!                                          │
-//!  clients ◄── Pending::wait ◄─────────────┘      ServerMetrics: p50/p95/p99,
-//!                                                 batch-size histogram
+//!                                          │      ▲ &Network
+//!  clients ◄── Pending::wait ◄─────────────┘      │
+//!                                  Arc<Network>: one fused model per
+//!                                  registry version, shared by all workers
 //! ```
 //!
 //! Single-sample requests enter a bounded MPMC queue; a batcher coalesces
 //! them under a [`BatchPolicy`] (`max_batch`, `max_wait_us`) into **one**
-//! batched forward on a per-worker replica. That forward is where the
-//! repository's performance stack pays off: the replicas are fused
-//! (conv→BN→activation epilogues) and planned (allocation-free warm
-//! forwards), and the batched small-GEMM path packs each weight panel once
-//! while several samples' skinny columns fill the register strips — the
-//! measured economics the batcher exists to exploit (see `docs/PERF.md` and
-//! `docs/SERVING.md`).
+//! batched forward of the shared model over the worker's own
+//! `hs_nn::Workspace`. That forward is where the repository's performance
+//! stack pays off: the model is fused (conv→BN→activation epilogues), warm
+//! forwards allocate nothing, and the batched small-GEMM path packs each
+//! weight panel once while several samples' skinny columns fill the
+//! register strips — the measured economics the batcher exists to exploit
+//! (see `docs/PERF.md` and `docs/SERVING.md`). A request's logits do not
+//! depend on its batch, its position in it, or the worker count.
 //!
 //! Model weights come from the [`ModelRegistry`]: named, versioned
 //! checkpoint blobs (the `hs-nn` binary checkpoint format) published by a
-//! training loop — e.g. `hs-fl`'s `run_with_checkpoints` hook — and
-//! atomically hot-swapped into the workers between batches, so a simulated
-//! FL run can keep improving the global model *while it is being served*.
+//! training loop — e.g. `hs-fl`'s `run_with_checkpoints` hook. The server
+//! decodes each version once into an `Arc`-shared model, and workers swap
+//! to it between batches, so a simulated FL run can keep improving the
+//! global model *while it is being served* without resident weights
+//! growing with the worker count.
 //!
 //! ## Quick start
 //!

@@ -5,11 +5,11 @@
 //! calls [`ModelRegistry::publish`] with a fresh global model; the registry
 //! serialises it to checkpoint bytes, assigns the next version number and
 //! appends it under the model's name. Serving workers poll
-//! [`ModelRegistry::latest`] **between batches** and reload their replica
-//! when the version moved — each worker's weights therefore always come
-//! from exactly one published version, and an in-flight batch runs to
-//! completion on the version it started with (no torn weights; pinned by
-//! the hot-swap atomicity test in `hs-serve`).
+//! [`ModelRegistry::latest`] **between batches**; a server decodes each new
+//! version once and its workers swap to the shared model before their next
+//! batch — an in-flight batch therefore runs to completion on exactly the
+//! version it started with (no torn weights; pinned by the hot-swap
+//! atomicity test in `hs-serve`).
 //!
 //! Versions are retained (bounded by [`ModelRegistry::retain`]) so a sweep
 //! can pin, compare or roll back to a specific version.
@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One published model version: an immutable checkpoint blob plus its
-/// identity. Shared by `Arc`, so publishing never copies weights into
-/// workers — they deserialise straight from the shared blob.
+/// identity. Shared by `Arc`, so publishing copies nothing; a server
+/// deserialises the blob once into the model its workers share.
 #[derive(Debug)]
 pub struct ModelVersion {
     /// Registry name the version was published under.

@@ -1,5 +1,6 @@
-//! The serving engine: admission, micro-batched execution on a pool of
-//! per-worker model replicas, and response routing.
+//! The serving engine: admission, micro-batched execution by a pool of
+//! workers sharing one decoded model per registry version, and response
+//! routing.
 //!
 //! Request lifecycle:
 //!
@@ -9,16 +10,19 @@
 //! 2. A worker thread collects a micro-batch under the
 //!    [`crate::BatchPolicy`], drops requests whose deadline already passed
 //!    ([`ServeError::DeadlineExceeded`]), stacks the survivors into one
-//!    `[b, ...]` tensor and runs **one** batched forward on its own fused +
-//!    planned [`Network`] replica (warm steady-state forwards allocate
-//!    nothing in the planned layers, and skinny per-sample GEMMs coalesce
-//!    across the batch — the whole point of batching here).
+//!    `[b, ...]` tensor and runs **one** batched forward of the shared fused
+//!    [`Network`] over its own [`Workspace`] (warm forwards allocate
+//!    nothing, and skinny per-sample GEMMs coalesce across the batch — the
+//!    whole point of batching here).
 //! 3. Each request's logits row is routed back through its completion slot;
 //!    latency and batch-size metrics are recorded.
 //!
-//! Between batches every worker polls the [`ModelRegistry`] and atomically
-//! hot-swaps its replica when a newer version of the served model was
-//! published — an in-flight batch always runs on exactly one version.
+//! Each registry version is built, fused, converted to the server's dtype
+//! and loaded **once per server** into an `Arc`-shared model; resident
+//! weights do not grow with the worker count. Between batches every worker
+//! polls the [`ModelRegistry`] and, when a newer version was published,
+//! swaps its `Arc` for the new model (the first worker to notice decodes
+//! it) — an in-flight batch always runs on exactly one version.
 //!
 //! The whole lifecycle is traced through `hs_obs` when `HS_TRACE` is set:
 //! an `admit` span per submission, `batch_collect`/`batch_execute`/
@@ -34,11 +38,11 @@ use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::registry::{ModelRegistry, ModelVersion};
 use crate::sync::{lock, wait};
-use hs_nn::{CheckpointError, Network};
+use hs_nn::{CheckpointError, Network, Workspace};
 use hs_obs::{instant_ns, now_ns, trace};
 use hs_tensor::{DType, Tensor};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -125,7 +129,7 @@ pub enum StartError {
         /// Names that are published.
         available: Vec<String>,
     },
-    /// The latest published checkpoint does not load into the replica the
+    /// The latest published checkpoint does not load into the network the
     /// factory builds.
     Checkpoint(CheckpointError),
 }
@@ -140,7 +144,7 @@ impl fmt::Display for StartError {
             ),
             StartError::Checkpoint(e) => write!(
                 f,
-                "latest published checkpoint does not load into the server's replica: {e}"
+                "latest published checkpoint does not load into the server's model: {e}"
             ),
         }
     }
@@ -318,7 +322,8 @@ impl BrownoutConfig {
 /// Server sizing, batching and self-healing knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of worker threads, each with its own model replica.
+    /// Number of worker threads. Workers share one model per registry
+    /// version; each owns only its inference workspace and batch buffers.
     pub workers: usize,
     /// Admission queue bound (requests beyond it are rejected with
     /// [`ServeError::Backpressure`]).
@@ -341,9 +346,9 @@ pub struct ServerConfig {
     pub supervisor_poll: Duration,
     /// Brownout (overload self-protection) configuration.
     pub brownout: BrownoutConfig,
-    /// Inference dtype for every worker replica. Applied after fusion and
-    /// before the checkpoint load, so published f32 checkpoints quantize on
-    /// load (see `hs_nn::Network::to_dtype`). Defaults to the `HS_DTYPE`
+    /// Inference dtype of the served model. Applied after fusion and before
+    /// the checkpoint load, so published f32 checkpoints quantize on load
+    /// (see `hs_nn::Network::to_dtype`). Defaults to the `HS_DTYPE`
     /// environment override, falling back to f32.
     pub replica_dtype: DType,
 }
@@ -351,7 +356,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A configuration with the given knobs, a 1 ms idle poll, and default
     /// self-healing knobs (5 restarts per worker at 5 ms base backoff,
-    /// default [`BrownoutConfig`]); the replica dtype comes from `HS_DTYPE`
+    /// default [`BrownoutConfig`]); the model dtype comes from `HS_DTYPE`
     /// (f32 when unset).
     pub fn new(workers: usize, queue_capacity: usize, policy: BatchPolicy) -> Self {
         assert!(workers > 0, "server needs at least one worker");
@@ -376,7 +381,7 @@ impl ServerConfig {
             .unwrap_or(1)
     }
 
-    /// Sets the worker-replica inference dtype explicitly, overriding the
+    /// Sets the served model's inference dtype explicitly, overriding the
     /// `HS_DTYPE` environment default.
     pub fn with_dtype(mut self, dtype: DType) -> Self {
         self.replica_dtype = dtype;
@@ -408,12 +413,56 @@ struct Shared {
     /// Fault-injection hook ([`Server::inject_worker_panic`]): the next
     /// worker to start a batch swaps this to false and panics.
     panic_fuse: AtomicBool,
-    /// The start-validated first checkpoint — the respawn fallback when the
-    /// registry's latest version no longer loads into a fresh replica.
-    initial: Arc<ModelVersion>,
-    /// Inference dtype every worker replica is converted to before loading
-    /// weights (so checkpoints quantize on load).
-    replica_dtype: DType,
+    /// Builds the unweighted network each version is loaded into.
+    factory: Box<dyn Fn() -> Network + Send + Sync>,
+    /// Inference dtype the model is converted to before loading weights
+    /// (so checkpoints quantize on load).
+    dtype: DType,
+    /// The newest version that loaded, shared by every worker.
+    current: Mutex<Arc<Served>>,
+    /// The newest version a decode was attempted for: each version is
+    /// decoded at most once per server, even one that fails to load.
+    attempted: AtomicU64,
+}
+
+/// One decoded registry version: the fused, dtype-converted network all
+/// workers run.
+struct Served {
+    version: u64,
+    net: Network,
+}
+
+/// Builds, fuses, converts and loads one checkpoint into a fresh network.
+fn decode(
+    factory: &dyn Fn() -> Network,
+    dtype: DType,
+    bytes: &[u8],
+) -> Result<Network, CheckpointError> {
+    let mut net = factory();
+    net.fuse_inference();
+    net.to_dtype(dtype);
+    net.load_checkpoint_bytes(bytes)?;
+    Ok(net)
+}
+
+impl Shared {
+    /// The model to run next, given the registry's latest version: the
+    /// first caller to see a version decodes it, everyone gets the newest
+    /// version that loaded so far.
+    fn refresh(&self, latest: &ModelVersion) -> Arc<Served> {
+        if self.attempted.fetch_max(latest.version, Ordering::SeqCst) < latest.version {
+            if let Ok(net) = decode(&*self.factory, self.dtype, &latest.bytes) {
+                let mut current = lock(&self.current);
+                if current.version < latest.version {
+                    *current = Arc::new(Served {
+                        version: latest.version,
+                        net,
+                    });
+                }
+            }
+        }
+        Arc::clone(&lock(&self.current))
+    }
 }
 
 /// A cloneable request-submission handle (the "connection" object load
@@ -500,18 +549,19 @@ pub struct Server {
 impl Server {
     /// Starts a server for registry model `model_name`.
     ///
-    /// `replica` builds one structurally identical, *unweighted* model per
-    /// worker (the same closure shape as `hs-fl`'s `ModelFactory`); each
-    /// replica is fused for inference and loaded from the latest published
-    /// checkpoint before serving. `input_dims` is the per-sample input
-    /// shape (e.g. `[3, 32, 32]`); requests are validated against it at
-    /// admission.
+    /// `replica` builds a structurally identical, *unweighted* model (the
+    /// same closure shape as `hs-fl`'s `ModelFactory`). It is called once
+    /// per registry version the server decodes: the built model is fused,
+    /// converted to [`ServerConfig::replica_dtype`], loaded with the
+    /// version's checkpoint and shared by every worker. `input_dims` is the
+    /// per-sample input shape (e.g. `[3, 32, 32]`); requests are validated
+    /// against it at admission.
     ///
     /// # Errors
     ///
     /// [`StartError::UnknownModel`] when nothing is published under
     /// `model_name`; [`StartError::Checkpoint`] when the latest checkpoint
-    /// does not load into the factory's replica (wrong architecture,
+    /// does not load into the factory's model (wrong architecture,
     /// truncated blob, ...).
     pub fn start(
         registry: Arc<ModelRegistry>,
@@ -526,15 +576,9 @@ impl Server {
                 name: model_name.to_string(),
                 available: registry.names(),
             })?;
-        // validate once up-front so a bad registry entry fails loudly here,
-        // not inside a worker thread
-        let make_replica: Arc<dyn Fn() -> Network + Send + Sync> = Arc::new(replica);
-        let mut probe = make_replica();
-        probe.fuse_inference();
-        probe.to_dtype(config.replica_dtype);
-        probe.load_checkpoint_bytes(&initial.bytes)?;
-        drop(probe);
-
+        // decode the first version here, so a bad registry entry fails
+        // loudly at start rather than inside a worker thread
+        let net = decode(&replica, config.replica_dtype, &initial.bytes)?;
         config.brownout.validate();
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
@@ -547,12 +591,17 @@ impl Server {
             brownout: config.brownout,
             brownout_active: AtomicBool::new(false),
             panic_fuse: AtomicBool::new(false),
-            initial,
-            replica_dtype: config.replica_dtype,
+            factory: Box::new(replica),
+            dtype: config.replica_dtype,
+            current: Mutex::new(Arc::new(Served {
+                version: initial.version,
+                net,
+            })),
+            attempted: AtomicU64::new(initial.version),
         });
         let slots: Vec<WorkerSlot> = (0..config.workers)
             .map(|i| WorkerSlot::Running {
-                handle: spawn_worker(&shared, &make_replica, i),
+                handle: spawn_worker(&shared, i),
                 restarts: 0,
             })
             .collect();
@@ -565,7 +614,7 @@ impl Server {
             };
             std::thread::Builder::new()
                 .name("hs-serve-supervisor".to_string())
-                .spawn(move || supervisor_loop(&shared, &make_replica, params, slots))
+                .spawn(move || supervisor_loop(&shared, params, slots))
                 .expect("failed to spawn serving supervisor")
         };
         Ok(Server {
@@ -644,35 +693,13 @@ struct SupervisorParams {
     poll: Duration,
 }
 
-/// Spawns one worker thread on `slot_index`, loading the freshest weights
-/// it can: the registry's latest version, falling back to the
-/// start-validated initial checkpoint if that version no longer loads.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    make_replica: &Arc<dyn Fn() -> Network + Send + Sync>,
-    slot_index: usize,
-) -> JoinHandle<()> {
+/// Spawns one worker thread on `slot_index`. A respawned worker takes the
+/// server's current model; nothing is rebuilt.
+fn spawn_worker(shared: &Arc<Shared>, slot_index: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
-    let make_replica = Arc::clone(make_replica);
     std::thread::Builder::new()
         .name(format!("hs-serve-{slot_index}"))
-        .spawn(move || {
-            let mut net = make_replica();
-            net.fuse_inference();
-            net.to_dtype(shared.replica_dtype);
-            let mut version = shared.initial.version;
-            let loaded_latest = shared
-                .registry
-                .latest(&shared.model_name)
-                .filter(|latest| net.load_checkpoint_bytes(&latest.bytes).is_ok())
-                .map(|latest| version = latest.version)
-                .is_some();
-            if !loaded_latest {
-                net.load_checkpoint_bytes(&shared.initial.bytes)
-                    .expect("validated at start");
-            }
-            worker_loop(&shared, &mut net, version);
-        })
+        .spawn(move || worker_loop(&shared))
         .expect("failed to spawn serving worker")
 }
 
@@ -680,12 +707,7 @@ fn spawn_worker(
 /// backoff under a bounded restart budget, runs the brownout watermark
 /// hysteresis, and — when the whole pool is dead or the server shuts down —
 /// makes sure no queued request is left hanging.
-fn supervisor_loop(
-    shared: &Arc<Shared>,
-    make_replica: &Arc<dyn Fn() -> Network + Send + Sync>,
-    params: SupervisorParams,
-    mut slots: Vec<WorkerSlot>,
-) {
+fn supervisor_loop(shared: &Arc<Shared>, params: SupervisorParams, mut slots: Vec<WorkerSlot>) {
     let brownout = shared.brownout;
     let capacity = shared.queue.capacity() as f32;
     let high_mark = (brownout.high_watermark * capacity).ceil() as usize;
@@ -745,7 +767,7 @@ fn supervisor_loop(
                     shared.metrics.record_worker_restart();
                     trace::instant("worker_restart", i as u64);
                     *slot = WorkerSlot::Running {
-                        handle: spawn_worker(shared, make_replica, i),
+                        handle: spawn_worker(shared, i),
                         restarts,
                     };
                 }
@@ -798,17 +820,19 @@ fn fail_queued(shared: &Shared) {
 /// closes (or a panic unwinds the thread; the supervisor takes it from
 /// there, and the in-flight batch's requests fail via the [`Request`] drop
 /// guard rather than hanging).
-fn worker_loop(shared: &Shared, net: &mut Network, mut version: u64) {
-    let mut batch_in = Tensor::zeros(&[0]);
+fn worker_loop(shared: &Shared) {
+    let mut served = Arc::clone(&lock(&shared.current));
+    let mut ws = Workspace::new();
+    let (mut batch_in, mut out) = (Tensor::zeros(&[0]), Tensor::zeros(&[0]));
     loop {
         // Hot-swap strictly between batches: the batch that is about to run
         // sees exactly one published version, never a half-loaded mix. A
         // version that fails to load (e.g. published for a different
-        // architecture under the same name) is skipped and the worker keeps
-        // serving its current weights.
+        // architecture under the same name) is decoded once and skipped;
+        // the workers keep serving the newest version that loaded.
         if let Some(latest) = shared.registry.latest(&shared.model_name) {
-            if latest.version != version && net.load_checkpoint_bytes(&latest.bytes).is_ok() {
-                version = latest.version;
+            if latest.version > served.version {
+                served = shared.refresh(&latest);
             }
         }
         // Brownout shrinks max_wait: under sustained overload, waiting for
@@ -839,18 +863,21 @@ fn worker_loop(shared: &Shared, net: &mut Network, mut version: u64) {
                     // (the requests vector unwinds → drop guards fire)
                     panic!("injected worker panic (Server::inject_worker_panic)");
                 }
-                run_batch(shared, net, version, &mut batch_in, requests);
+                run_batch(shared, &served, &mut ws, &mut batch_in, &mut out, requests);
             }
         }
     }
 }
 
-/// Executes one collected micro-batch and routes the responses.
+/// Executes one collected micro-batch on `served` and routes the
+/// responses. `batch_in` and `out` are the worker's stacked-input and
+/// logits buffers.
 fn run_batch(
     shared: &Shared,
-    net: &mut Network,
-    version: u64,
+    served: &Served,
+    ws: &mut Workspace,
     batch_in: &mut Tensor,
+    out: &mut Tensor,
     requests: Vec<Request>,
 ) {
     // deadline triage first: expired requests are dropped unexecuted so
@@ -904,11 +931,11 @@ fn run_batch(
         stacked[i * sample_len..(i + 1) * sample_len].copy_from_slice(request.sample.as_slice());
     }
 
-    let out = {
+    {
         let execute = trace::span("batch_execute");
         execute.set_payload(batch as u64);
-        net.infer(batch_in)
-    };
+        served.net.infer_into(batch_in, out, ws);
+    }
     let row = out.len() / batch;
     let out_rows = out.as_slice();
     shared.metrics.record_batch(batch);
@@ -932,7 +959,7 @@ fn run_batch(
         }
         request.slot.complete(Ok(Response {
             logits: out_rows[i * row..(i + 1) * row].to_vec(),
-            model_version: version,
+            model_version: served.version,
             latency,
             batch_size: batch,
         }));

@@ -1,11 +1,12 @@
 //! Server-level concurrency tests: request/response routing integrity under
 //! load, deadline expiry, admission backpressure, and hot-swap atomicity.
 
-use hs_nn::{Layer, Linear, Network, Sequential};
+use hs_nn::{Layer, Linear, Network, Sequential, Workspace};
 use hs_serve::{BatchPolicy, ModelRegistry, ServeError, Server, ServerConfig};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -102,18 +103,27 @@ fn async_submissions_coalesce_into_real_batches() {
     server.shutdown();
 }
 
+/// Copies `input` into `out`: the inference body of the test layers below.
+fn copy_into(input: &Tensor, out: &mut Tensor) {
+    out.resize_to(input.dims());
+    out.as_mut_slice().copy_from_slice(input.as_slice());
+}
+
 /// A layer that sleeps on every inference forward — the deterministic way
 /// to keep a worker busy so queue-level behaviours (backpressure, deadline
 /// expiry) can be exercised without racing the real model's speed.
 struct Slow(Duration);
 
 impl Layer for Slow {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        std::thread::sleep(self.0);
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         input.clone()
     }
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         grad_out.clone()
+    }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        std::thread::sleep(self.0);
+        copy_into(input, out);
     }
     fn name(&self) -> &'static str {
         "slow"
@@ -352,14 +362,17 @@ fn shape_mismatch_and_unknown_model_fail_actionably() {
 struct PanicOn(f32);
 
 impl Layer for PanicOn {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        if input.as_slice().contains(&self.0) {
-            panic!("poison value hit");
-        }
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         input.clone()
     }
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         grad_out.clone()
+    }
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        if input.as_slice().contains(&self.0) {
+            panic!("poison value hit");
+        }
+        copy_into(input, out);
     }
     fn name(&self) -> &'static str {
         "panic_on"
@@ -620,4 +633,124 @@ fn shutdown_drains_accepted_requests_then_rejects() {
         Err(ServeError::Shutdown) => {}
         other => panic!("expected Shutdown, got {other:?}"),
     }
+}
+
+/// A `linear_net` factory that counts its calls.
+fn counting_factory() -> (
+    Arc<AtomicUsize>,
+    impl Fn() -> Network + Send + Sync + 'static,
+) {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    (calls, move || {
+        counter.fetch_add(1, Ordering::SeqCst);
+        linear_net()
+    })
+}
+
+/// Polls until a response carries `version` (the swap happens between
+/// batches, once a worker notices the publish).
+fn wait_for_version(client: &hs_serve::ServeClient, version: u64) -> Vec<f32> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let r = client.infer(Tensor::ones(&[4]), None).unwrap();
+        if r.model_version == version {
+            return r.logits;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "server never swapped to version {version}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn workers_share_one_model_per_version() {
+    let mut start_calls = Vec::new();
+    for workers in [1, 2, 4] {
+        let registry = Arc::new(ModelRegistry::new());
+        publish_scaled_identity(&registry, "m", 1.0);
+        let (calls, factory) = counting_factory();
+        let config = ServerConfig::new(workers, 64, BatchPolicy::new(4, 100));
+        let server = Server::start(Arc::clone(&registry), "m", factory, &[4], config).unwrap();
+        let client = server.client();
+        assert_eq!(
+            client.infer(Tensor::ones(&[4]), None).unwrap().logits,
+            vec![1.0; 4]
+        );
+        start_calls.push(calls.load(Ordering::SeqCst));
+
+        // one publish: exactly one more build, however many workers swap
+        let v2 = publish_scaled_identity(&registry, "m", 2.0);
+        assert_eq!(wait_for_version(&client, v2), vec![2.0; 4]);
+        for _ in 0..20 {
+            client.infer(Tensor::ones(&[4]), None).unwrap();
+        }
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            start_calls[0] + 1,
+            "{workers} workers"
+        );
+
+        // a respawned worker takes the current model and builds nothing
+        server.inject_worker_panic();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while server.metrics().worker_restarts == 0 {
+            let _ = client.infer(Tensor::ones(&[4]), None);
+            assert!(
+                std::time::Instant::now() < deadline,
+                "worker never respawned"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            client.infer(Tensor::ones(&[4]), None).unwrap().logits,
+            vec![2.0; 4]
+        );
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            start_calls[0] + 1,
+            "{workers} workers"
+        );
+        server.shutdown();
+    }
+    assert!(
+        start_calls.iter().all(|&c| c == start_calls[0]),
+        "factory calls at start vary with the worker count: {start_calls:?}"
+    );
+}
+
+#[test]
+fn an_incompatible_version_is_decoded_once_and_skipped() {
+    let registry = Arc::new(ModelRegistry::new());
+    let v1 = publish_scaled_identity(&registry, "m", 3.0);
+    let (calls, factory) = counting_factory();
+    let config = ServerConfig::new(2, 64, BatchPolicy::batch_of_one());
+    let server = Server::start(Arc::clone(&registry), "m", factory, &[4], config).unwrap();
+    let client = server.client();
+    assert_eq!(
+        client
+            .infer(Tensor::ones(&[4]), None)
+            .unwrap()
+            .model_version,
+        v1
+    );
+    let before = calls.load(Ordering::SeqCst);
+
+    // a different architecture published under the served name
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut wrong = Network::new(Sequential::new(vec![Box::new(Linear::new(7, 7, &mut rng))]));
+    registry.publish("m", &mut wrong);
+    for i in 0..24 {
+        let response = client.infer(Tensor::ones(&[4]), None).unwrap();
+        assert_eq!(response.model_version, v1, "request {i}");
+        assert_eq!(response.logits, vec![3.0; 4], "request {i}");
+    }
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        before + 1,
+        "the incompatible version must be decoded exactly once"
+    );
+    server.shutdown();
 }

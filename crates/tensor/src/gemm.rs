@@ -293,7 +293,10 @@ unsafe fn kernel_avx512_direct(
                 for (v, acc_v) in acc_row.iter().enumerate() {
                     let ptr = out.add(i * ldc + v * 16);
                     let sum = _mm512_add_ps(_mm512_loadu_ps(ptr), *acc_v);
-                    let mut val = _mm512_fmadd_ps(sum, sc, sh);
+                    // multiply then add, rounding twice like the scalar
+                    // edge path: a fused multiply-add here would make an
+                    // element's bits depend on which path stored it
+                    let mut val = _mm512_add_ps(_mm512_mul_ps(sum, sc), sh);
                     // branch-faithful forms of EpilogueAct::apply, so NaN
                     // behaves identically to the scalar path (compares are
                     // ordered: NaN lanes keep the "else" value)
@@ -370,7 +373,8 @@ unsafe fn kernel_avx2_direct(
                     for (v, acc_v) in acc_row.iter().enumerate() {
                         let ptr = out.add(row * ldc + v * 8);
                         let sum = _mm256_add_ps(_mm256_loadu_ps(ptr), *acc_v);
-                        let mut val = _mm256_fmadd_ps(sum, sc, sh);
+                        // multiply then add (see the AVX-512 kernel)
+                        let mut val = _mm256_add_ps(_mm256_mul_ps(sum, sc), sh);
                         // branch-faithful forms of EpilogueAct::apply (see
                         // the AVX-512 kernel for the NaN rationale)
                         val = match e.act {

@@ -1,10 +1,11 @@
-//! Parity suite for the fused inference engine (PR 2): the fused
-//! conv+BN+activation path, the planned (arena) forward and the shared-state
-//! sharded eval path are pinned against the unfused layer-by-layer
+//! Parity suite for the fused inference engine: the fused
+//! conv+BN+activation path is pinned against the unfused layer-by-layer
 //! reference across random shapes, grouped/strided/padded convolutions and
-//! every supported activation — including the exact train-mode fallback and
+//! every supported activation — including the exact training fallback and
 //! the guarantee that evaluation never mutates batch-norm running
-//! statistics.
+//! statistics. That every inference entry point (`Network::infer`, sharded
+//! evaluation, serving) computes the same bits is pinned separately, in
+//! `tests/batch_invariance.rs`.
 
 use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::evaluate_accuracy;
@@ -70,7 +71,7 @@ fn conv_stack(
 fn warm_bn(reference: &mut Network, fused: &mut Network, x: &Tensor) {
     for net in [&mut *reference, &mut *fused] {
         for _ in 0..3 {
-            let _ = net.forward(x, true);
+            let _ = net.forward(x);
         }
     }
 }
@@ -102,20 +103,8 @@ fn fused_conv_bn_act_matches_unfused_across_configs() {
                 let x = Tensor::rand_uniform(&[n, cin, h, w], -1.5, 1.5, &mut rng);
                 let ctx =
                     format!("cin={cin} cout={cout} k={k} s={s} p={p} g={g} bn={with_bn} act={act}");
-                let expect = reference.forward(&x, false);
-                // fused forward
-                assert_close(
-                    &fused.forward(&x, false),
-                    &expect,
-                    &format!("{ctx} [fused]"),
-                );
-                // planned (arena) forward
-                assert_close(&fused.infer(&x).clone(), &expect, &format!("{ctx} [plan]"));
-                // shared-state eval forward
-                let shared = fused
-                    .forward_eval(&x)
-                    .expect("built-ins support shared eval");
-                assert_close(&shared, &expect, &format!("{ctx} [shared]"));
+                let expect = reference.infer(&x).clone();
+                assert_close(fused.infer(&x), &expect, &format!("{ctx} [fused]"));
             }
         }
     }
@@ -123,8 +112,8 @@ fn fused_conv_bn_act_matches_unfused_across_configs() {
 
 #[test]
 fn fused_paths_match_unfused_on_every_forced_conv_backend() {
-    // the full fused/planned/shared-eval parity contract, swept over every
-    // ConvAlgo forced network-wide: backends must be interchangeable under
+    // the fused parity contract, swept over every ConvAlgo forced
+    // network-wide: backends must be interchangeable under
     // fusion (epilogue semantics included), with inapplicable geometries
     // falling back to im2col.
     let mut rng = StdRng::seed_from_u64(300);
@@ -149,7 +138,7 @@ fn fused_paths_match_unfused_on_every_forced_conv_backend() {
                 fused.force_conv_algo(Some(algo));
 
                 let x = Tensor::rand_uniform(&[2, cin, h, w], -1.5, 1.5, &mut rng);
-                let expect = reference.forward(&x, false);
+                let expect = reference.infer(&x).clone();
                 let ctx =
                     format!("{algo:?} cin={cin} cout={cout} k={k} s={s} p={p} g={g} act={act}");
                 let check = |got: &Tensor, path: &str| {
@@ -161,14 +150,7 @@ fn fused_paths_match_unfused_on_every_forced_conv_backend() {
                         );
                     }
                 };
-                check(&fused.forward(&x, false), "fused");
-                check(&fused.infer(&x).clone(), "plan");
-                check(
-                    &fused
-                        .forward_eval(&x)
-                        .expect("built-ins support shared eval"),
-                    "shared",
-                );
+                check(fused.infer(&x), "fused");
             }
         }
     }
@@ -189,8 +171,8 @@ fn depthwise_backend_propagates_nan_like_the_unfused_path() {
 
         let mut x = Tensor::rand_uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut rng);
         *x.at_mut(&[0, 1, 3, 3]) = f32::NAN;
-        let expect = reference.forward(&x, false);
-        let got = fused.forward(&x, false);
+        let expect = reference.infer(&x).clone();
+        let got = fused.infer(&x);
         assert!(
             expect.as_slice().iter().any(|v| v.is_nan()) || act == 1,
             "test setup: the NaN should reach the output unless ReLU clears it"
@@ -220,8 +202,8 @@ fn fused_train_mode_falls_back_exactly() {
     let mut rng = StdRng::seed_from_u64(43);
     for step in 0..3 {
         let x = Tensor::rand_uniform(&[2, 3, 8, 8], -1.0, 1.0, &mut rng);
-        let y_ref = reference.forward(&x, true);
-        let y_fused = fused.forward(&x, true);
+        let y_ref = reference.forward(&x);
+        let y_fused = fused.forward(&x);
         assert_eq!(y_ref, y_fused, "step {step}: training outputs diverged");
         let grad = Tensor::rand_uniform(y_ref.dims(), -1.0, 1.0, &mut rng);
         let gin_ref = reference.backward(&grad);
@@ -275,21 +257,8 @@ fn fused_model_zoo_inference_matches_unfused() {
         warm_bn(&mut reference, &mut fused, &x_warm);
         fused.fuse_inference();
         let x = Tensor::rand_uniform(&[3, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let expect = reference.forward(&x, false);
-        assert_close(
-            &fused.forward(&x, false),
-            &expect,
-            &format!("{kind:?} [fused]"),
-        );
-        assert_close(
-            &fused.infer(&x).clone(),
-            &expect,
-            &format!("{kind:?} [plan]"),
-        );
-        let shared = fused
-            .forward_eval(&x)
-            .expect("zoo layers support shared eval");
-        assert_close(&shared, &expect, &format!("{kind:?} [shared]"));
+        let expect = reference.infer(&x).clone();
+        assert_close(fused.infer(&x), &expect, &format!("{kind:?} [fused]"));
     }
 }
 
@@ -314,15 +283,14 @@ fn planned_forward_reuses_arena_across_shapes() {
 
 #[test]
 fn eval_paths_never_mutate_bn_running_stats() {
-    // the PR-2 "small fix" pin: predict_classes, eval_loss, infer,
-    // forward_eval and sharded evaluate_accuracy must leave every weight
-    // and buffer (incl. BN running stats) untouched
+    // predict_classes, eval_loss, infer and sharded evaluate_accuracy must
+    // leave every weight and buffer (incl. BN running stats) untouched
     let cfg = VisionConfig::new(3, 4, 16);
     let mut rng = StdRng::seed_from_u64(11);
     let mut net = build_vision_model(ModelKind::SimpleCnn, cfg, &mut rng);
     let x_warm = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
     for _ in 0..2 {
-        let _ = net.forward(&x_warm, true); // make BN stats non-default
+        let _ = net.forward(&x_warm); // make BN stats non-default
     }
     net.fuse_inference();
     let snapshot = net.weights();
@@ -331,7 +299,6 @@ fn eval_paths_never_mutate_bn_running_stats() {
     let _ = net.predict_classes(&x);
     let _ = net.eval_loss(&x, &Target::Classes(vec![0, 1, 2, 3]), &CrossEntropyLoss);
     let _ = net.infer(&x);
-    let _ = net.forward_eval(&x);
     let samples: Vec<Tensor> = (0..70)
         .map(|_| Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng))
         .collect();
@@ -352,7 +319,7 @@ fn sharded_eval_matches_exclusive_eval_on_a_real_cnn() {
     let mut rng = StdRng::seed_from_u64(12);
     let mut net = build_vision_model(ModelKind::SimpleCnn, cfg, &mut rng);
     let x_warm = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
-    let _ = net.forward(&x_warm, true);
+    let _ = net.forward(&x_warm);
     net.fuse_inference();
 
     let n = 85; // several EVAL_BATCH shards plus a ragged tail

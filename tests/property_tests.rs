@@ -213,7 +213,7 @@ fn conv2d_gemm_path_matches_reference_across_configs() {
         let mut conv = Conv2d::new(cin, cout, kernel, stride, padding, groups, &mut rng);
         let x = Tensor::rand_uniform(&[batch, cin, h, w], -1.0, 1.0, &mut rng);
 
-        let fast = conv.forward(&x, true);
+        let fast = conv.forward(&x);
         let reference = conv.forward_reference(&x);
         assert_eq!(fast.dims(), reference.dims());
         for (f, r) in fast.as_slice().iter().zip(reference.as_slice()) {
@@ -279,7 +279,7 @@ fn every_conv_backend_matches_reference_across_configs() {
 
         for algo in [ConvAlgo::Im2colGemm, ConvAlgo::DirectDepthwise] {
             conv.force_algo(Some(algo));
-            let got = conv.forward(&x, false);
+            let got = hs_nn::infer(&conv, &x);
             assert_eq!(got.dims(), reference.dims());
             for (g, r) in got.as_slice().iter().zip(reference.as_slice()) {
                 assert!(
