@@ -374,10 +374,10 @@ pub fn table6_flair(scale: &Scale, methods: &[Method]) -> Vec<FlairResult> {
                 aggregation,
             );
             sim.run();
-            let mut net = sim.global_model();
+            let net = sim.global_model();
             let aps: Vec<f32> = tests
                 .iter()
-                .map(|(_, test)| evaluate_average_precision(&mut net, test) * 100.0)
+                .map(|(_, test)| evaluate_average_precision(&net, test) * 100.0)
                 .collect();
             FlairResult {
                 method: method.as_str().to_string(),
@@ -458,11 +458,11 @@ pub fn ecg_study(scale: &Scale) -> Vec<EcgResult> {
                 aggregation,
             );
             sim.run();
-            let mut net = sim.global_model();
+            let net = sim.global_model();
             let per_sensor: Vec<(String, f32)> = tests
                 .iter()
                 .map(|(sensor, test)| {
-                    let (pred, actual) = evaluate_heart_rate(&mut net, test, 200.0);
+                    let (pred, actual) = evaluate_heart_rate(&net, test, 200.0);
                     (sensor.clone(), heart_rate_deviation(&pred, &actual))
                 })
                 .collect();

@@ -146,13 +146,13 @@ pub fn swad_robustness(scale: &Scale) -> Vec<RobustnessRow> {
             net.set_weights(avg.average());
         }
 
-        let clean_acc = evaluate_accuracy(&mut net, test).max(1e-6);
+        let clean_acc = evaluate_accuracy(&net, test).max(1e-6);
         for name in transformations {
             let degradations: Vec<f32> = degrees
                 .iter()
                 .map(|&degree| {
                     let distorted = transform_test_set(test, name, degree, scale.seed ^ 0x7e57);
-                    let acc = evaluate_accuracy(&mut net, &distorted);
+                    let acc = evaluate_accuracy(&net, &distorted);
                     (clean_acc - acc) / clean_acc
                 })
                 .collect();

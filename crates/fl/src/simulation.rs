@@ -40,7 +40,7 @@ pub struct SemiSyncPolicy {
     /// `deadline_factor × median` are dropped. Must be > 0.
     pub deadline_factor: f32,
     /// Norm-bound screen aggressiveness passed to
-    /// [`screen_updates`]: updates whose delta norm
+    /// [`screen_updates_sharded`]: updates whose delta norm
     /// exceeds this multiple of the cohort median are rejected before
     /// aggregation. `0` disables the norm screen (the non-finite screen
     /// always runs).
@@ -617,8 +617,7 @@ impl FlSimulation {
     /// Evaluates the current global model on per-device test sets, returning
     /// one accuracy per device type.
     pub fn evaluate_per_device(&self, device_tests: &[(String, Dataset)]) -> Vec<GroupAccuracy> {
-        let mut net = self.global_model();
-        per_device_accuracy(&mut net, device_tests)
+        per_device_accuracy(&self.global_model(), device_tests)
     }
 }
 

@@ -3,10 +3,10 @@
 //! SqueezeNet fire modules and ShuffleNetV2 units.
 
 use crate::{
-    BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Param, ParamStore,
-    Relu, Sequential, Workspace,
+    BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Relu, Sequential,
+    Workspace,
 };
-use hs_tensor::{DType, Tensor};
+use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 
 /// Extracts channels `[from, to)` of a `[n, c, h, w]` tensor.
@@ -102,28 +102,8 @@ impl Layer for Residual {
         }
     }
 
-    fn fuse_inference(&mut self) {
-        self.body.fuse_inference();
-    }
-
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        self.body.for_each_conv2d_mut(f);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.body.params_mut()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.body.buffers_mut()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.body.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.body.param_stores()
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        vec![&mut self.body]
     }
 
     fn name(&self) -> &'static str {
@@ -228,28 +208,8 @@ impl Layer for SqueezeExcite {
         ws.give(scale);
     }
 
-    fn fuse_inference(&mut self) {
-        self.squeeze.fuse_inference();
-    }
-
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        self.squeeze.for_each_conv2d_mut(f);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.squeeze.params_mut()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.squeeze.buffers_mut()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.squeeze.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.squeeze.param_stores()
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        vec![&mut self.squeeze]
     }
 
     fn name(&self) -> &'static str {
@@ -367,28 +327,8 @@ impl Layer for InvertedResidual {
         }
     }
 
-    fn fuse_inference(&mut self) {
-        self.body.fuse_inference();
-    }
-
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        self.body.for_each_conv2d_mut(f);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.body.params_mut()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.body.buffers_mut()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.body.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.body.param_stores()
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        vec![&mut self.body]
     }
 
     fn name(&self) -> &'static str {
@@ -492,43 +432,8 @@ impl Layer for Fire {
         ws.give(sq);
     }
 
-    fn fuse_inference(&mut self) {
-        self.squeeze.fuse_inference();
-        self.expand1.fuse_inference();
-        self.expand3.fuse_inference();
-    }
-
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        self.squeeze.for_each_conv2d_mut(f);
-        self.expand1.for_each_conv2d_mut(f);
-        self.expand3.for_each_conv2d_mut(f);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.squeeze.params_mut();
-        p.extend(self.expand1.params_mut());
-        p.extend(self.expand3.params_mut());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.squeeze.buffers_mut();
-        b.extend(self.expand1.buffers_mut());
-        b.extend(self.expand3.buffers_mut());
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.squeeze.to_dtype(dtype);
-        self.expand1.to_dtype(dtype);
-        self.expand3.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.squeeze.param_stores();
-        p.extend(self.expand1.param_stores());
-        p.extend(self.expand3.param_stores());
-        p
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        vec![&mut self.squeeze, &mut self.expand1, &mut self.expand3]
     }
 
     fn name(&self) -> &'static str {
@@ -739,49 +644,13 @@ impl Layer for ShuffleUnit {
         ws.give(y1);
     }
 
-    fn fuse_inference(&mut self) {
-        self.branch_main.fuse_inference();
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        // main branch first, then the projection: the weight layout order
+        let mut children: Vec<&mut dyn Layer> = vec![&mut self.branch_main];
         if let Some(proj) = &mut self.branch_proj {
-            proj.fuse_inference();
+            children.push(proj);
         }
-    }
-
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        self.branch_main.for_each_conv2d_mut(f);
-        if let Some(proj) = &mut self.branch_proj {
-            proj.for_each_conv2d_mut(f);
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.branch_main.params_mut();
-        if let Some(proj) = &mut self.branch_proj {
-            p.extend(proj.params_mut());
-        }
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.branch_main.buffers_mut();
-        if let Some(proj) = &mut self.branch_proj {
-            b.extend(proj.buffers_mut());
-        }
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.branch_main.to_dtype(dtype);
-        if let Some(proj) = &mut self.branch_proj {
-            proj.to_dtype(dtype);
-        }
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.branch_main.param_stores();
-        if let Some(proj) = &mut self.branch_proj {
-            p.extend(proj.param_stores());
-        }
-        p
+        children
     }
 
     fn name(&self) -> &'static str {

@@ -51,7 +51,7 @@
 //! naming exactly what went wrong; the network is never partially
 //! overwritten by a failed load.
 
-use crate::{Network, ParamStore};
+use crate::{Layer, Network, ParamStore};
 use hs_tensor::{
     f16_bits_to_f32, DType, F16Storage, I8Storage, QTensor, Tensor, TensorBase, WeightMat,
 };
@@ -362,7 +362,7 @@ impl Network {
     /// block's name).
     fn buffer_names(&mut self) -> Vec<String> {
         let mut names = Vec::new();
-        for (i, layer) in self.layer_stack_mut().layers_mut().iter_mut().enumerate() {
+        for (i, layer) in self.layers.children_mut().into_iter().enumerate() {
             let lname = layer.name();
             for j in 0..layer.buffers_mut().len() {
                 names.push(format!("layer{i}.{lname}.buf{j}"));

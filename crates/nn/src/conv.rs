@@ -1132,16 +1132,6 @@ impl Layer for Conv2d {
         Tensor::from_vec(grad_in, &[n, c, h, w])
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        if self.qweight.is_some() {
-            // the f32 weight is parked empty while quantized; only the bias
-            // remains a trainable/exchangeable f32 parameter
-            vec![&mut self.bias]
-        } else {
-            vec![&mut self.weight, &mut self.bias]
-        }
-    }
-
     fn to_dtype(&mut self, dtype: DType) {
         // depthwise convolutions stay f32: their direct spatial micro-kernel
         // has no packing layer to widen through, and their weights are tiny
@@ -1176,6 +1166,8 @@ impl Layer for Conv2d {
     }
 
     fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
+        // while quantized the f32 weight is parked empty: the quantized
+        // weight takes its slot and only the bias stays a trainable param
         match &mut self.qweight {
             Some(q) => vec![ParamStore::Quant(q), ParamStore::F32(&mut self.bias)],
             None => vec![

@@ -1,6 +1,6 @@
 //! The inference fusion pass: collapses `Conv2d -> BatchNorm2d ->
-//! activation` and `Linear -> activation` runs inside a [`Sequential`] into
-//! fused layers.
+//! activation` and `Linear -> activation` runs inside a [`crate::Sequential`]
+//! into fused layers.
 //!
 //! Fusion is a *structural* rewrite with *behavioural* equivalence:
 //!
@@ -12,11 +12,12 @@
 //! * **Training** (`forward`) and `backward` delegate to the original
 //!   layers unchanged — a fused network remains exactly trainable, which the
 //!   federated-learning simulator relies on.
-//! * **Weight layout is invariant**: the fused layers expose their children's
-//!   parameters and buffers in the original order, so
-//!   [`crate::Network::weights`] / [`crate::Network::set_weights`] round-trip
-//!   identically before and after fusion and FL aggregation is oblivious to
-//!   it.
+//! * **Weight layout is invariant**: a fused layer lists the layers it
+//!   replaced as its [`Layer::children_mut`], in their original order, so the
+//!   default parameter and buffer walks see the same tensors in the same
+//!   order and [`crate::Network::weights`] / [`crate::Network::set_weights`]
+//!   round-trip identically before and after fusion; FL aggregation is
+//!   oblivious to it.
 //!
 //! The scale/shift fold is recomputed from the batch-norm's *current*
 //! running statistics on every inference forward (an `O(channels)` loop into
@@ -27,8 +28,8 @@
 //! whose width disagrees with the convolution, anything else in between —
 //! are left untouched, falling back to the exact layer-by-layer path.
 
-use crate::{Layer, Param, ParamStore, Sequential, Workspace};
-use hs_tensor::{DType, EpilogueAct, Tensor};
+use crate::{Layer, Workspace};
+use hs_tensor::{EpilogueAct, Tensor};
 
 /// Rewrites a layer list, fusing `conv (-> bn) (-> act)` and `linear -> act`
 /// runs. Composite layers are recursed into (via [`Layer::fuse_inference`])
@@ -69,8 +70,9 @@ pub(crate) fn fuse_layers(layers: Vec<Box<dyn Layer>>) -> Vec<Box<dyn Layer>> {
 /// A fused `Conv2d (-> BatchNorm2d) (-> activation)` stack.
 ///
 /// Owns the original layers: training and backward delegate to them
-/// unchanged, parameters/buffers are exposed in the original order, and only
-/// the inference forward takes the folded single-GEMM path.
+/// unchanged, they are its children (so parameters and buffers keep the
+/// original order), and only the inference forward takes the folded
+/// single-GEMM path.
 pub struct FusedConvBnAct {
     conv: Box<dyn Layer>,
     bn: Option<Box<dyn Layer>>,
@@ -171,51 +173,15 @@ impl Layer for FusedConvBnAct {
         conv.conv_into(input, ep, out, &mut ws.col);
     }
 
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        self.conv.for_each_conv2d_mut(f);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv.params_mut();
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        let mut children: Vec<&mut dyn Layer> = vec![&mut *self.conv];
         if let Some(bn) = &mut self.bn {
-            p.extend(bn.params_mut());
+            children.push(&mut **bn);
         }
         if let Some(act) = &mut self.act {
-            p.extend(act.params_mut());
+            children.push(&mut **act);
         }
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.conv.buffers_mut();
-        if let Some(bn) = &mut self.bn {
-            b.extend(bn.buffers_mut());
-        }
-        if let Some(act) = &mut self.act {
-            b.extend(act.buffers_mut());
-        }
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.conv.to_dtype(dtype);
-        if let Some(bn) = &mut self.bn {
-            bn.to_dtype(dtype);
-        }
-        if let Some(act) = &mut self.act {
-            act.to_dtype(dtype);
-        }
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.conv.param_stores();
-        if let Some(bn) = &mut self.bn {
-            p.extend(bn.param_stores());
-        }
-        if let Some(act) = &mut self.act {
-            p.extend(act.param_stores());
-        }
-        p
+        children
     }
 
     fn name(&self) -> &'static str {
@@ -271,27 +237,8 @@ impl Layer for FusedLinearAct {
         linear.infer_act_into(input, self.act_kind, out);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.linear.params_mut();
-        p.extend(self.act.params_mut());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.linear.buffers_mut();
-        b.extend(self.act.buffers_mut());
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.linear.to_dtype(dtype);
-        self.act.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.linear.param_stores();
-        p.extend(self.act.param_stores());
-        p
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        vec![&mut *self.linear, &mut *self.act]
     }
 
     fn name(&self) -> &'static str {
@@ -299,17 +246,12 @@ impl Layer for FusedLinearAct {
     }
 }
 
-/// Convenience: fuses a whole [`Sequential`] (recursively) and returns it,
-/// for call sites that build models functionally.
-pub fn fuse_sequential(mut seq: Sequential) -> Sequential {
-    seq.fuse_inference();
-    seq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchNorm2d, Conv2d, HardSwish, LeakyRelu, Linear, MaxPool2d, Relu, Relu6};
+    use crate::{
+        BatchNorm2d, Conv2d, HardSwish, LeakyRelu, Linear, MaxPool2d, Relu, Relu6, Sequential,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -320,7 +262,7 @@ mod tests {
     #[test]
     fn fuses_conv_bn_act_runs() {
         let mut rng = StdRng::seed_from_u64(0);
-        let seq = Sequential::new(vec![
+        let mut fused = Sequential::new(vec![
             Box::new(Conv2d::new(3, 8, 3, 1, 1, 1, &mut rng)),
             Box::new(BatchNorm2d::new(8)),
             Box::new(Relu::new()),
@@ -328,7 +270,7 @@ mod tests {
             Box::new(Conv2d::new(8, 8, 3, 1, 1, 1, &mut rng)),
             Box::new(BatchNorm2d::new(8)),
         ]);
-        let fused = fuse_sequential(seq);
+        fused.fuse_inference();
         assert_eq!(
             layer_names(&fused),
             vec!["fused_conv_bn_act", "max_pool2d", "fused_conv_bn_act"]
@@ -338,14 +280,14 @@ mod tests {
     #[test]
     fn fuses_conv_act_without_bn_and_linear_act() {
         let mut rng = StdRng::seed_from_u64(1);
-        let seq = Sequential::new(vec![
+        let mut fused = Sequential::new(vec![
             Box::new(Conv2d::new(2, 4, 3, 1, 1, 1, &mut rng)),
             Box::new(Relu6::new()),
             Box::new(Linear::new(4, 4, &mut rng)),
             Box::new(LeakyRelu::new(0.1)),
             Box::new(Linear::new(4, 2, &mut rng)),
         ]);
-        let fused = fuse_sequential(seq);
+        fused.fuse_inference();
         assert_eq!(
             layer_names(&fused),
             vec!["fused_conv_bn_act", "fused_linear_act", "linear"]
@@ -355,7 +297,7 @@ mod tests {
     #[test]
     fn leaves_unsupported_patterns_alone() {
         let mut rng = StdRng::seed_from_u64(2);
-        let seq = Sequential::new(vec![
+        let mut fused = Sequential::new(vec![
             // hard-swish is not a GEMM-epilogue activation: bn fuses, act stays
             Box::new(Conv2d::new(2, 4, 3, 1, 1, 1, &mut rng)),
             Box::new(BatchNorm2d::new(4)),
@@ -364,7 +306,7 @@ mod tests {
             Box::new(Conv2d::new(4, 4, 3, 1, 1, 1, &mut rng)),
             Box::new(BatchNorm2d::new(2)),
         ]);
-        let fused = fuse_sequential(seq);
+        fused.fuse_inference();
         assert_eq!(
             layer_names(&fused),
             vec!["fused_conv_bn_act", "hard_swish", "conv2d", "batch_norm2d"]

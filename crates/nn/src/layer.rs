@@ -113,10 +113,15 @@ pub fn infer(layer: &dyn Layer, input: &Tensor) -> Tensor {
 /// the federated-learning simulator, and one network can run inference on
 /// many threads at once.
 ///
-/// Beyond these three methods the trait carries the default-implemented
-/// hooks of the fusion pass ([`Layer::fuse_inference`] plus the typed views
-/// [`Layer::as_conv2d`], [`Layer::as_batch_norm`], [`Layer::as_linear`] and
-/// [`Layer::epilogue_act`]) and of the parameter walks.
+/// Beyond these three methods the trait has one structural hook,
+/// [`Layer::children_mut`]: a container lists its direct sub-layers once,
+/// and the recursive walks — parameters, buffers, dtype conversion, fusion
+/// and the conv visitor — are default methods over it. Only leaves that own
+/// state override a walk ([`Conv2d`], [`Linear`], [`BatchNorm2d`]), and only
+/// [`crate::Sequential`] overrides [`Layer::fuse_inference`] with its
+/// pattern rewrite. The remaining defaults are the typed views of the fusion
+/// pass ([`Layer::as_conv2d`], [`Layer::as_batch_norm`],
+/// [`Layer::as_linear`] and [`Layer::epilogue_act`]).
 pub trait Layer: Send + Sync {
     /// The training forward: batch statistics, dropout masks, and the caches
     /// [`Layer::backward`] consumes.
@@ -135,37 +140,72 @@ pub trait Layer: Send + Sync {
     /// reallocated. `out` never aliases `input`; scratch comes from `ws`.
     fn infer_into(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace);
 
+    /// The direct sub-layers of a container, in parameter order; empty for
+    /// leaves. This is the one structural hook: every recursive walk below
+    /// ([`Layer::param_stores`], [`Layer::buffers_mut`],
+    /// [`Layer::to_dtype`], [`Layer::fuse_inference`],
+    /// [`Layer::for_each_conv2d_mut`]) defaults to visiting these children in
+    /// this order, so a container names its children once and the
+    /// flattened weight layout follows from it.
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        Vec::new()
+    }
+
     /// Rewrites this layer's children for fused inference (conv/BN/activation
     /// and linear/activation runs collapse into fused layers; see
-    /// [`crate::fuse`]). Containers recurse; leaves do nothing.
-    fn fuse_inference(&mut self) {}
+    /// [`crate::fuse`]). Recurses into the children by default;
+    /// [`crate::Sequential`] overrides it with the pattern rewrite.
+    fn fuse_inference(&mut self) {
+        for child in self.children_mut() {
+            child.fuse_inference();
+        }
+    }
 
-    /// Mutable access to the trainable parameters, outermost layers first.
+    /// Mutable access to every stored parameter tensor, outermost layers
+    /// first. This is the walk the checkpoint format uses: quantized weights
+    /// appear here (as [`ParamStore::Quant`]) so fingerprints and save/load
+    /// cover them. Recurses into the children by default; leaves that own
+    /// parameters override it.
+    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
+        self.children_mut()
+            .into_iter()
+            .flat_map(|child| child.param_stores())
+            .collect()
+    }
+
+    /// Mutable access to the trainable parameters: the [`ParamStore::F32`]
+    /// entries of [`Layer::param_stores`], in the same order. On an f32
+    /// network that is every stored tensor; after [`Layer::to_dtype`] the
+    /// quantized weights drop out. Derived, never overridden, so the two
+    /// walks cannot disagree.
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
+        self.param_stores()
+            .into_iter()
+            .filter_map(|store| match store {
+                ParamStore::F32(p) => Some(p),
+                ParamStore::Quant(_) => None,
+            })
+            .collect()
     }
 
     /// Mutable access to non-trainable state tensors (e.g. batch-norm running
     /// statistics) that must still be exchanged between FL clients and the
-    /// server.
+    /// server. Recurses into the children by default.
     fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
+        self.children_mut()
+            .into_iter()
+            .flat_map(|child| child.buffers_mut())
+            .collect()
     }
 
     /// Converts this layer's inference weights to the requested storage
-    /// dtype (see [`crate::Network::to_dtype`]). Containers recurse; leaves
-    /// with weight tensors override; everything else keeps the no-op
-    /// default. Converting back to [`DType::F32`] restores dequantized `f32`
-    /// weights.
-    fn to_dtype(&mut self, _dtype: DType) {}
-
-    /// Mutable access to every stored parameter tensor, in the same fixed
-    /// order as [`Layer::params_mut`] on an f32 network. This is the walk
-    /// the checkpoint format uses: unlike `params_mut`, quantized weights
-    /// appear here (as [`ParamStore::Quant`]) so fingerprints and save/load
-    /// cover them.
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.params_mut().into_iter().map(ParamStore::F32).collect()
+    /// dtype (see [`crate::Network::to_dtype`]). Recurses into the children
+    /// by default; leaves with weight tensors override. Converting back to
+    /// [`DType::F32`] restores dequantized `f32` weights.
+    fn to_dtype(&mut self, dtype: DType) {
+        for child in self.children_mut() {
+            child.to_dtype(dtype);
+        }
     }
 
     /// Typed view for the fusion pass: `Some` iff this layer is a plain
@@ -174,11 +214,15 @@ pub trait Layer: Send + Sync {
         None
     }
 
-    /// Visits every [`Conv2d`] reachable from this layer (containers and
-    /// fused layers recurse; leaves other than `Conv2d` do nothing). Used to
-    /// force a convolution backend network-wide in tests and the backend
-    /// benches — see [`crate::ConvAlgo`].
-    fn for_each_conv2d_mut(&mut self, _f: &mut dyn FnMut(&mut Conv2d)) {}
+    /// Visits every [`Conv2d`] reachable from this layer (recursing into the
+    /// children by default; [`Conv2d`] visits itself). Used to force a
+    /// convolution backend network-wide in tests and the backend benches —
+    /// see [`crate::ConvAlgo`].
+    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut Conv2d)) {
+        for child in self.children_mut() {
+            child.for_each_conv2d_mut(f);
+        }
+    }
 
     /// Typed view for the fusion pass: `Some` iff this layer is a plain
     /// [`BatchNorm2d`].
@@ -251,7 +295,7 @@ mod tests {
         assert!(id.as_batch_norm().is_none());
         assert!(id.as_linear().is_none());
         assert!(id.epilogue_act().is_none());
-        // fuse_inference and to_dtype are no-ops; param_stores mirrors params
+        // a leaf without children: fuse_inference and to_dtype are no-ops
         id.fuse_inference();
         id.to_dtype(DType::F16);
         assert!(id.param_stores().is_empty());

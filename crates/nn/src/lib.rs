@@ -13,6 +13,14 @@
 //! is just a [`Network`] whose parameters can be flattened into a `Vec<f32>`
 //! for aggregation on the server.
 //!
+//! The layer tree has one structural hook, [`Layer::children_mut`]: a
+//! container lists its direct sub-layers once, in parameter order, and every
+//! recursive walk — [`Layer::param_stores`] (and the [`Layer::params_mut`]
+//! view derived from it), [`Layer::buffers_mut`], [`Layer::to_dtype`],
+//! [`Layer::fuse_inference`] and [`Layer::for_each_conv2d_mut`] — is a trait
+//! default over it. The flattened weight vector, the checkpoint layout and
+//! the fingerprint all follow from that one order.
+//!
 //! Inference is one path: [`Layer::infer_into`] reads only `&self` and
 //! writes through a caller-owned [`Workspace`]. [`Network::infer`] runs it
 //! over the network's own workspace; sharded evaluation and the serving
@@ -63,7 +71,7 @@ pub use blocks::{ChannelShuffle, Fire, InvertedResidual, Residual, ShuffleUnit, 
 pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use conv::{batched_gemm_crossovers, set_batched_gemm, Conv2d, ConvAlgo};
 pub use dropout::Dropout;
-pub use fuse::{fuse_sequential, FusedConvBnAct, FusedLinearAct};
+pub use fuse::{FusedConvBnAct, FusedLinearAct};
 pub use hs_tensor::EpilogueAct;
 pub use layer::{infer, Layer, ParamStore, Workspace};
 pub use linear::Linear;

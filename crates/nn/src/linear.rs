@@ -139,16 +139,6 @@ impl Layer for Linear {
         Some(self)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        if self.qweight.is_some() {
-            // the f32 weight is parked empty while quantized; only the bias
-            // remains a trainable/exchangeable f32 parameter
-            vec![&mut self.bias]
-        } else {
-            vec![&mut self.weight, &mut self.bias]
-        }
-    }
-
     fn to_dtype(&mut self, dtype: DType) {
         match (dtype, self.qweight.take()) {
             (DType::F32, Some(q)) => {
@@ -174,6 +164,8 @@ impl Layer for Linear {
     }
 
     fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
+        // while quantized the f32 weight is parked empty: the quantized
+        // weight takes its slot and only the bias stays a trainable param
         match &mut self.qweight {
             Some(q) => vec![ParamStore::Quant(q), ParamStore::F32(&mut self.bias)],
             None => vec![

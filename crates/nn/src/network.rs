@@ -8,7 +8,8 @@ use hs_tensor::{DType, Tensor};
 /// needed by federated learning (flatten / restore all parameters and
 /// batch-norm buffers).
 pub struct Network {
-    layers: Sequential,
+    /// The layer stack (checkpoint naming walks its top-level children).
+    pub(crate) layers: Sequential,
     /// Workspace and output of [`Network::infer`].
     ws: Workspace,
     out: Tensor,
@@ -93,12 +94,6 @@ impl Network {
     /// [`ParamStore::Quant`] entries in the same positions.
     pub fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
         self.layers.param_stores()
-    }
-
-    /// Internal access to the top-level layer stack (checkpoint naming
-    /// walks it to pair each buffer with its owning layer's name).
-    pub(crate) fn layer_stack_mut(&mut self) -> &mut crate::Sequential {
-        &mut self.layers
     }
 
     /// Mutable access to all non-trainable buffers (batch-norm statistics).

@@ -1,16 +1,17 @@
 //! Batch normalisation over the channel axis of `[n, c, h, w]` tensors.
 
-use crate::{Layer, Param, Workspace};
+use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::Tensor;
 
 /// Batch normalisation for convolutional feature maps.
 ///
 /// During training the layer normalises with batch statistics and updates the
 /// running mean/variance buffers; during inference it uses the running
-/// statistics. The running buffers are exposed through
-/// [`Layer::buffers_mut`] so the federated-learning server aggregates them
-/// along with the trainable parameters, matching the behaviour of FedAvg on
-/// standard deep-learning frameworks.
+/// statistics. `gamma` and `beta` are exposed through
+/// [`Layer::param_stores`] and the running buffers through
+/// [`Layer::buffers_mut`], so the federated-learning server aggregates the
+/// statistics along with the trainable parameters, matching the behaviour of
+/// FedAvg on standard deep-learning frameworks.
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,
@@ -205,8 +206,11 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(grad_in, &dims)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
+    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
+        vec![
+            ParamStore::F32(&mut self.gamma),
+            ParamStore::F32(&mut self.beta),
+        ]
     }
 
     fn buffers_mut(&mut self) -> Vec<&mut Tensor> {

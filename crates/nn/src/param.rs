@@ -5,9 +5,11 @@ use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: the current value and its accumulated gradient.
 ///
-/// Layers create `Param`s for their weights and biases; the optimizer and the
+/// Layers create `Param`s for their weights and biases and expose them
+/// through [`crate::Layer::param_stores`]; the optimizer and the
 /// federated-learning weight (de)serialisation walk every `Param` of a
-/// [`crate::Network`] through [`crate::Layer::params_mut`].
+/// [`crate::Network`] through [`crate::Network::params_mut`], the `f32` view
+/// of that walk.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     /// Current parameter value.

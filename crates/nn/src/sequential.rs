@@ -1,7 +1,7 @@
 //! A container that chains layers in order.
 
-use crate::{Layer, Param, ParamStore, Workspace};
-use hs_tensor::{DType, Tensor};
+use crate::{Layer, Workspace};
+use hs_tensor::Tensor;
 
 /// Runs a list of layers in sequence; the workhorse container for every model
 /// in the zoo.
@@ -37,11 +37,6 @@ impl Sequential {
     /// Whether the container holds no layers.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Mutable access to the layer list (checkpoint naming walks it).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
     }
 
     /// Read-only access to the layer list (test-only: used by the fusion
@@ -92,42 +87,13 @@ impl Layer for Sequential {
         ws.give(a);
     }
 
+    fn children_mut(&mut self) -> Vec<&mut dyn Layer> {
+        self.layers.iter_mut().map(|l| &mut **l as _).collect()
+    }
+
     fn fuse_inference(&mut self) {
         let layers = std::mem::take(&mut self.layers);
         self.layers = crate::fuse::fuse_layers(layers);
-    }
-
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        for layer in &mut self.layers {
-            layer.for_each_conv2d_mut(f);
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.buffers_mut())
-            .collect()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        for layer in &mut self.layers {
-            layer.to_dtype(dtype);
-        }
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.param_stores())
-            .collect()
     }
 
     fn name(&self) -> &'static str {

@@ -31,7 +31,7 @@
 //! buffer. Unlike the seed's i-k-j loop there is **no** `== 0.0` skip branch:
 //! `0 * NaN` correctly stays `NaN` and the inner loop stays branch-free.
 //!
-//! Packing buffers live in a thread-local [`GemmScratch`], so steady-state
+//! Packing buffers live in a thread-local `GemmScratch`, so steady-state
 //! GEMM calls allocate nothing.
 //!
 //! # Safety

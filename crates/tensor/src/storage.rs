@@ -1,4 +1,4 @@
-//! Storage backends for [`TensorBase`](crate::TensorBase): the trait every
+//! Storage backends for [`TensorBase`]: the trait every
 //! backing buffer implements plus the f16 and i8 quantized stores and the
 //! [`QTensor`] enum that carries "some quantized tensor" through the layer
 //! stack without making every layer generic.
@@ -10,9 +10,8 @@ use crate::{Tensor, TensorBase};
 /// A contiguous, row-major element store behind a tensor.
 ///
 /// Implementations own their buffer and know how to convert to and from the
-/// `f32` compute type; shape bookkeeping stays in
-/// [`TensorBase`](crate::TensorBase), per the shape/storage split the
-/// GPU-style tensor designs use.
+/// `f32` compute type; shape bookkeeping stays in [`TensorBase`], per the
+/// shape/storage split the GPU-style tensor designs use.
 pub trait Storage: Clone + PartialEq + std::fmt::Debug + Send + Sync {
     /// The element dtype this storage holds.
     const DTYPE: DType;
@@ -137,7 +136,7 @@ impl Storage for I8Storage {
 
 /// A quantized tensor of runtime-selected dtype — the non-generic handle the
 /// layer stack stores so `Box<dyn Layer>` objects stay object-safe while
-/// their weights change storage class at [`Network::to_dtype`] time.
+/// their weights change storage class at `hs_nn::Network::to_dtype` time.
 #[derive(Clone, PartialEq, Debug)]
 pub enum QTensor {
     /// Binary16 weight storage.

@@ -45,7 +45,7 @@ fn main() {
         }
         let row: Vec<f32> = datasets
             .iter()
-            .map(|test_ds| evaluate_accuracy(&mut net, &test_ds.test))
+            .map(|test_ds| evaluate_accuracy(&net, &test_ds.test))
             .collect();
         println!(
             "trained on {:<8} own-device accuracy {:.1}%",

@@ -80,11 +80,11 @@ fn main() {
             AggregationMethod::FedAvg,
         );
         sim.run();
-        let mut net = sim.global_model();
+        let net = sim.global_model();
         println!("\n{name}:");
         let mut deviations = Vec::new();
         for (sensor, test) in &tests {
-            let (pred, actual) = evaluate_heart_rate(&mut net, test, 200.0);
+            let (pred, actual) = evaluate_heart_rate(&net, test, 200.0);
             let deviation = heart_rate_deviation(&pred, &actual);
             println!("  {sensor:<17} heart-rate deviation {deviation:.1}%");
             deviations.push(deviation);

@@ -80,7 +80,7 @@ fn logits_do_not_depend_on_batch_position_sharding_or_workers() {
             // sharded evaluation: logit 0 of every sample, several shards
             hs_parallel::set_num_threads(Some(3));
             let data = Dataset::new(samples.clone(), Labels::Values(vec![0.0; samples.len()]));
-            let (preds, _) = evaluate_heart_rate(&mut net, &data, 1.0);
+            let (preds, _) = evaluate_heart_rate(&net, &data, 1.0);
             hs_parallel::set_num_threads(None);
             let firsts: Vec<f32> = alone.iter().map(|l| l[0]).collect();
             assert_bits(&preds, &firsts, &format!("{kind:?} {dtype:?} sharded eval"));

@@ -275,36 +275,113 @@ fn quantized_replicas_round_trip_and_stay_close_across_the_zoo() {
     }
 }
 
+/// FNV-1a (64-bit) over the little-endian bits of a flattened weight
+/// vector: a cheap, order-sensitive digest of the weight layout.
+fn fnv1a_weights(weights: &[f32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in weights {
+        for b in w.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The golden weight layout of one zoo model at `zoo_cfg()`, seed 1.
+struct Golden {
+    kind: ModelKind,
+    fingerprint: u64,
+    param_stores: usize,
+    buffers: usize,
+    weights_fnv: u64,
+}
+
+/// Pinned by `checkpoint_header_is_byte_stable`. A reordered or dropped
+/// entry in the parameter/buffer walk moves the weight digest (and usually
+/// the fingerprint) of the models with composite blocks. The digest hashes
+/// He-normal initial weights, whose Box-Muller draw goes through the
+/// platform's `ln`/`sin`/`cos`; the values were recorded on x86-64 Linux.
+const GOLDEN: [Golden; 4] = [
+    Golden {
+        kind: ModelKind::SimpleCnn,
+        fingerprint: 0x08d9_4900_839b_10a8,
+        param_stores: 12,
+        buffers: 4,
+        weights_fnv: 0x4a4e_c244_5bab_6477,
+    },
+    Golden {
+        kind: ModelKind::MobileNetV3Small,
+        fingerprint: 0xf11e_9952_9803_8ab1,
+        param_stores: 54,
+        buffers: 22,
+        weights_fnv: 0xb011_e0cd_3ee2_5a1c,
+    },
+    Golden {
+        kind: ModelKind::ShuffleNetV2,
+        fingerprint: 0xbc45_e968_a61c_c09b,
+        param_stores: 74,
+        buffers: 36,
+        weights_fnv: 0x2ca0_a7a4_be2d_c4be,
+    },
+    Golden {
+        kind: ModelKind::SqueezeNet,
+        fingerprint: 0x74e9_f485_58ac_63e5,
+        param_stores: 22,
+        buffers: 0,
+        weights_fnv: 0xba47_dad8_359b_54e8,
+    },
+];
+
 #[test]
 fn checkpoint_header_is_byte_stable() {
     // golden pin of the 28-byte header (magic + version + fingerprint +
-    // parameter-tensor count) for the zoo SimpleCnn at VisionConfig(3, 5,
-    // 16). This must only ever change with a deliberate format-version bump
-    // or an intentional architecture change — update the constant in the
-    // same commit and say why. Bumped to version 2 (and the count field
-    // from flat scalars to per-tensor entries) when dtype tags and CRC-32
-    // checksums were added; the fingerprint algorithm was untouched, so
-    // GOLDEN_FINGERPRINT survives from v1.
-    let mut net = zoo_model(ModelKind::SimpleCnn, 1);
-    let bytes = net.to_checkpoint_bytes();
-    assert_eq!(&bytes[..8], &CHECKPOINT_MAGIC);
-    assert_eq!(&bytes[8..12], &2u32.to_le_bytes()); // format version
-    let mut expected_header = Vec::new();
-    expected_header.extend_from_slice(b"HSNNCKPT");
-    expected_header.extend_from_slice(&2u32.to_le_bytes());
-    expected_header.extend_from_slice(&net.fingerprint().to_le_bytes());
-    expected_header.extend_from_slice(&(GOLDEN_PARAM_TENSORS as u64).to_le_bytes());
-    assert_eq!(&bytes[..28], &expected_header[..]);
-    // the golden values themselves, pinned as literals
-    assert_eq!(
-        net.fingerprint(),
-        GOLDEN_FINGERPRINT,
-        "SimpleCnn topology fingerprint moved — format or architecture change?"
-    );
-    assert_eq!(net.param_stores().len(), GOLDEN_PARAM_TENSORS);
+    // parameter-tensor count) and of the flattened weight layout, for every
+    // zoo model at VisionConfig(3, 5, 16), seed 1. These must only ever
+    // change with a deliberate format-version bump or an intentional
+    // architecture change — update the constants in the same commit and say
+    // why. Bumped to version 2 (and the count field from flat scalars to
+    // per-tensor entries) when dtype tags and CRC-32 checksums were added;
+    // the fingerprint algorithm was untouched, so the SimpleCnn fingerprint
+    // survives from v1.
+    assert_eq!(GOLDEN.map(|g| g.kind), ZOO);
+    for g in &GOLDEN {
+        let kind = g.kind;
+        let mut net = zoo_model(kind, 1);
+        let bytes = net.to_checkpoint_bytes();
+        assert_eq!(&bytes[..8], &CHECKPOINT_MAGIC);
+        assert_eq!(&bytes[8..12], &2u32.to_le_bytes()); // format version
+        let mut expected_header = Vec::new();
+        expected_header.extend_from_slice(b"HSNNCKPT");
+        expected_header.extend_from_slice(&2u32.to_le_bytes());
+        expected_header.extend_from_slice(&g.fingerprint.to_le_bytes());
+        expected_header.extend_from_slice(&(g.param_stores as u64).to_le_bytes());
+        assert_eq!(&bytes[..28], &expected_header[..], "{kind:?} header");
+        // the golden values themselves, pinned as literals
+        assert_eq!(
+            net.fingerprint(),
+            g.fingerprint,
+            "{kind:?} topology fingerprint moved — format or architecture change?"
+        );
+        assert_eq!(net.param_stores().len(), g.param_stores, "{kind:?}");
+        assert_eq!(net.buffers_mut().len(), g.buffers, "{kind:?}");
+        assert_eq!(
+            fnv1a_weights(&net.weights()),
+            g.weights_fnv,
+            "{kind:?} flattened weight layout moved"
+        );
+        // fused and f16 replicas keep the topology (and fusion the layout)
+        let mut fused = zoo_model(kind, 1);
+        fused.fuse_inference();
+        assert_eq!(fused.fingerprint(), g.fingerprint, "{kind:?} fused");
+        assert_eq!(
+            fnv1a_weights(&fused.weights()),
+            g.weights_fnv,
+            "{kind:?} fused"
+        );
+        let mut f16 = zoo_model(kind, 1);
+        f16.to_dtype(DType::F16);
+        assert_eq!(f16.fingerprint(), g.fingerprint, "{kind:?} f16");
+        assert_eq!(f16.param_stores().len(), g.param_stores, "{kind:?} f16");
+    }
 }
-
-/// Pinned by `checkpoint_header_is_byte_stable`.
-const GOLDEN_FINGERPRINT: u64 = 0x08d9_4900_839b_10a8;
-/// Pinned by `checkpoint_header_is_byte_stable`.
-const GOLDEN_PARAM_TENSORS: usize = 12;

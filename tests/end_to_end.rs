@@ -236,9 +236,9 @@ fn ecg_federated_pipeline_estimates_heart_rate() {
     let history = sim.run();
     // training loss should trend down
     assert!(history.last().unwrap().mean_train_loss <= history[0].mean_train_loss);
-    let mut net = sim.global_model();
+    let net = sim.global_model();
     for ds in &datasets {
-        let (pred, actual) = evaluate_heart_rate(&mut net, &ds.test, 200.0);
+        let (pred, actual) = evaluate_heart_rate(&net, &ds.test, 200.0);
         let deviation = heart_rate_deviation(&pred, &actual);
         assert!(deviation.is_finite());
         assert!(
@@ -266,7 +266,7 @@ fn centralized_training_beats_chance_on_device_data() {
         net.forward_backward(&x, &target, &hs_nn::CrossEntropyLoss);
         opt.step(&mut net);
     }
-    let acc = evaluate_accuracy(&mut net, test);
+    let acc = evaluate_accuracy(&net, test);
     let chance = 1.0 / cfg.num_classes as f32;
     assert!(
         acc > chance,

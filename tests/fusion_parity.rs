@@ -304,7 +304,7 @@ fn eval_paths_never_mutate_bn_running_stats() {
         .collect();
     let labels: Vec<usize> = (0..70).map(|i| i % 4).collect();
     let data = Dataset::new(samples, Labels::Classes(labels));
-    let _ = evaluate_accuracy(&mut net, &data);
+    let _ = evaluate_accuracy(&net, &data);
 
     assert_eq!(
         net.weights(),
@@ -328,7 +328,7 @@ fn sharded_eval_matches_exclusive_eval_on_a_real_cnn() {
         .collect();
     let labels: Vec<usize> = (0..n).map(|i| (i * 7) % 4).collect();
     let data = Dataset::new(samples.clone(), Labels::Classes(labels.clone()));
-    let sharded_acc = evaluate_accuracy(&mut net, &data);
+    let sharded_acc = evaluate_accuracy(&net, &data);
 
     // exclusive-access reference, batch by batch
     let mut correct = 0usize;
